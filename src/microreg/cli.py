@@ -44,8 +44,8 @@ def _write_manifest(path, command: str, parameters: dict, outputs: list) -> None
     })
 
 
-def _prepare_polar(img: Image, angular: int, radial: int):
-    """Shared align preprocessing: circular crop, normalize, polar resample.
+def prepare_polar(img: Image, angular: int, radial: int):
+    """Align preprocessing: circular crop, normalize, polar resample.
 
     max_radius stays 2 pixels inside the crop disc so every bilinear tap is
     masked-in and the polar grid comes out fully valid (required by --pruned).
@@ -89,9 +89,8 @@ def cmd_polar(args):
     return params, [args.out]
 
 
-def _align_pair(ref_img, cand_img, angular, radial, pruned):
-    ref_p = _prepare_polar(ref_img, angular, radial)
-    cand_p = _prepare_polar(cand_img, angular, radial)
+def _align_pair(ref_p, cand_img, angular, radial, pruned):
+    cand_p = prepare_polar(cand_img, angular, radial)
     if pruned:
         return estimate_rotation_pruned(ref_p, cand_p)
     return estimate_rotation(ref_p, cand_p)
@@ -108,7 +107,8 @@ def cmd_align(args):
 
     ref_img = load_pgm(args.ref)
     cand_img = load_pgm(args.cand)
-    est = _align_pair(ref_img, cand_img, args.angular, args.radial, args.pruned)
+    est = _align_pair(prepare_polar(ref_img, args.angular, args.radial),
+                      cand_img, args.angular, args.radial, args.pruned)
 
     save_pgm(rotate(cand_img, -est.angle_deg), out_image)
     with open(out_curve, "w", encoding="ascii", newline="\n") as f:
@@ -134,7 +134,7 @@ def cmd_matrix(args):
     if len(paths) < 2:
         raise ValueError(f"need at least 2 PGM files in {in_dir}")
     ref_path = Path(args.ref) if args.ref else paths[0]
-    ref_img = load_pgm(ref_path)
+    ref_p = prepare_polar(load_pgm(ref_path), args.angular, args.radial)
 
     aligned_dir = Path(args.aligned_dir)
     aligned_dir.mkdir(parents=True, exist_ok=True)
@@ -145,7 +145,7 @@ def cmd_matrix(args):
         if path == ref_path:
             rotated = rotate(img, 0.0)
         else:
-            est = _align_pair(ref_img, img, args.angular, args.radial,
+            est = _align_pair(ref_p, img, args.angular, args.radial,
                               pruned=False)
             rotated = rotate(img, -est.angle_deg)
         aligned.append(rotated)
@@ -226,7 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angular", type=int, default=720)
     p.add_argument("--radial", type=int, default=200)
     p.add_argument("--pruned", action="store_true",
-                   help="use the bound-pruned search")
+                   help="bound-pruned search: reproduces the paper's op-count "
+                        "claim (criterion 4) but runs slower than the "
+                        "exhaustive search (bench p50 ~1.1 s vs 0.12 s)")
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("matrix", help="align a directory of PGMs and build "

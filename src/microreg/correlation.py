@@ -55,10 +55,37 @@ class RotationEstimate:
     op_counts: OpCounts | None = None
 
 
-def _clamp(x: float) -> float:
-    if abs(x) > 1 + _EXCURSION:
-        raise RuntimeError(f"NCC excursion beyond rounding tolerance: {x!r}")
-    return min(1.0, max(-1.0, x))
+def _clamp(x):
+    x = np.asarray(x, dtype=np.float64)
+    bad = np.abs(x) > 1 + _EXCURSION
+    if bad.any():
+        raise RuntimeError("NCC excursion beyond rounding tolerance: "
+                           f"{float(x[bad][0])!r}")
+    return np.clip(x, -1.0, 1.0)
+
+
+def _masked_ncc(n, sa, sb, saa, sbb, sab, where):
+    """NCC of each entry of 1-D arrays of sums over masked overlaps.
+
+    n is the overlap size, sa and sb the sums of each side, saa and sbb their
+    sums of squares, sab the sum of products. where(i) names entry i in the
+    error raised when an overlap has fewer than 2 samples or no variance.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var_a = saa - sa * sa / n
+        var_b = sbb - sb * sb / n
+        # relative floor absorbs the float residue of constant overlaps
+        flat = ((var_a <= n * (1e-12 * np.maximum(1.0, np.abs(sa / n))) ** 2)
+                | (var_b <= n * (1e-12 * np.maximum(1.0, np.abs(sb / n))) ** 2))
+        few = n < 2
+        bad = np.flatnonzero(few | flat)
+        if bad.size:
+            i = bad[0]
+            if few[i]:
+                raise DegenerateOverlapError(
+                    f"overlap of {int(n[i])} samples at {where(i)}")
+            raise DegenerateOverlapError(f"zero variance overlap at {where(i)}")
+        return _clamp((sab - sa * sb / n) / np.sqrt(var_a * var_b))
 
 
 def ncc(a, b) -> float:
@@ -79,7 +106,7 @@ def ncc(a, b) -> float:
     if (ssa <= a.size * (1e-12 * max(1.0, abs(ma))) ** 2
             or ssb <= b.size * (1e-12 * max(1.0, abs(mb))) ** 2):
         raise DegenerateOverlapError("zero variance in input samples")
-    return _clamp(float(np.dot(da, db)) / np.sqrt(ssa * ssb))
+    return float(_clamp(float(np.dot(da, db)) / np.sqrt(ssa * ssb)))
 
 
 def _check_grids(ref: PolarImage, cand: PolarImage):
@@ -90,9 +117,16 @@ def _check_grids(ref: PolarImage, cand: PolarImage):
             f"vs {cand.angular_samples}x{cand.radial_samples}")
 
 
-def _shift_traces(m: np.ndarray, dmat: np.ndarray, s: int) -> np.ndarray:
-    # sum of m[i, j] over pairs with (j - i) mod S == k, for every k
-    return np.bincount(dmat, weights=m.ravel(), minlength=s)
+def _centered(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    # valid samples shifted to zero mean, zero elsewhere: NCC ignores the
+    # offset, and removing it spares the one-pass variances its cancellation
+    mean = values[valid].mean() if valid.any() else 0.0
+    return np.where(valid, values - mean, 0.0)
+
+
+def _polar_layers(p: PolarImage) -> np.ndarray:
+    a = _centered(p.values, p.valid)
+    return np.stack([p.valid.astype(np.float64), a, a * a])
 
 
 def rotation_score_curve(ref: PolarImage, cand: PolarImage) -> NccCurve:
@@ -101,40 +135,21 @@ def rotation_score_curve(ref: PolarImage, cand: PolarImage) -> NccCurve:
     scores[k] pairs ref angle row i with candidate angle row (i + k) mod S,
     so a candidate rotated by +angle peaks at the matching positive shift.
     Means and variances are recomputed over the mutual valid overlap of each
-    shift; invalid samples never enter the sums. The per-shift overlap sums are
-    assembled from six row-pair matrix products, which keeps the full curve at
-    the 720x200 grid well under a second.
+    shift; invalid samples never enter the sums. The six per-shift overlap
+    sums are circular cross-correlations along the angle axis, summed over the
+    radii: each comes from one product of rfft spectra and one irfft (the
+    masked NCC of Padfield, IEEE TIP 2012), O(S R log S) for the whole curve.
     """
     _check_grids(ref, cand)
     s = ref.angular_samples
-    vr = ref.valid.astype(np.float64)
-    vc = cand.valid.astype(np.float64)
-    ar = ref.values * vr
-    ac = cand.values * vc
-
-    rows = np.arange(s)
-    dmat = ((rows[None, :] - rows[:, None]) % s).ravel()
-    n = _shift_traces(vr @ vc.T, dmat, s)
-    sr = _shift_traces(ar @ vc.T, dmat, s)
-    sc = _shift_traces(vr @ ac.T, dmat, s)
-    srr = _shift_traces((ar * ref.values) @ vc.T, dmat, s)
-    scc = _shift_traces(vr @ (ac * cand.values).T, dmat, s)
-    src = _shift_traces(ar @ ac.T, dmat, s)
-
-    scores = np.empty(s, dtype=np.float64)
-    for k in range(s):
-        nk = n[k]
-        if nk < 2:
-            raise DegenerateOverlapError(
-                f"overlap of {int(nk)} samples at shift {k}")
-        var_r = srr[k] - sr[k] * sr[k] / nk
-        var_c = scc[k] - sc[k] * sc[k] / nk
-        tol_r = nk * (1e-12 * max(1.0, abs(sr[k] / nk))) ** 2
-        tol_c = nk * (1e-12 * max(1.0, abs(sc[k] / nk))) ** 2
-        if var_r <= tol_r or var_c <= tol_c:
-            raise DegenerateOverlapError(f"zero variance overlap at shift {k}")
-        cov = src[k] - sr[k] * sc[k] / nk
-        scores[k] = _clamp(cov / np.sqrt(var_r * var_c))
+    fr = np.fft.rfft(_polar_layers(ref), axis=1).conj()
+    fc = np.fft.rfft(_polar_layers(cand), axis=1)
+    # (ref layer, cand layer) for n, sr, sc, srr, scc, src
+    pairs = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
+    spectra = np.stack([np.einsum("kj,kj->k", fr[a], fc[b]) for a, b in pairs])
+    n, sr, sc, srr, scc, src = np.fft.irfft(spectra, n=s, axis=1)
+    n = np.rint(n)
+    scores = _masked_ncc(n, sr, sc, srr, scc, src, "shift {}".format)
     return NccCurve(scores, n.astype(np.int64))
 
 
@@ -212,7 +227,7 @@ def estimate_rotation_pruned(ref: PolarImage, cand: PolarImage) -> RotationEstim
                 abandoned = True
                 break
         if not abandoned:
-            score = _clamp(partial + comp)
+            score = float(_clamp(partial + comp))
             scores[k] = score
             if score > best:
                 best = score

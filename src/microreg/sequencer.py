@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import DegenerateOverlapError, ncc
+# ncc stays imported: bench/tracing.py wraps microreg.sequencer.ncc
+from .correlation import _centered, _masked_ncc, ncc  # noqa: F401
 from .image import Image, center_crop, normalize
 
 
@@ -90,30 +91,34 @@ class MonotonicityViolation:
 def correlation_matrix(images: list[Image], crop_size: int) -> CorrelationMatrix:
     """NCC of the normalized center crops for every image pair.
 
-    Each pair correlates over the pixels valid in both crops; the diagonal is
-    forced to exactly 1.
+    Each pair correlates over the pixels valid in both crops. With V the
+    frames x pixels validity and A the crops centered on their valid means and
+    zeroed outside V, every pair's overlap sums are entries of the Gram
+    products V Vt, A Vt, A^2 Vt and A At. The diagonal is exactly 1.
     """
-    if len(images) < 2:
+    m = len(images)
+    if m < 2:
         raise ValueError("need at least 2 images")
-    crops = []
     for idx, img in enumerate(images):
         try:
-            crops.append(center_crop(normalize(img), crop_size))
+            crop = center_crop(normalize(img), crop_size)
         except ValueError as exc:
             raise ValueError(f"image {idx}: {exc}") from exc
-    n = len(crops)
-    values = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            both = crops[i].valid() & crops[j].valid()
-            if both.sum() < 2:
-                raise DegenerateOverlapError(
-                    f"fewer than 2 mutually valid pixels for pair ({i}, {j})")
-            try:
-                values[i, j] = values[j, i] = ncc(crops[i].pixels[both],
-                                                  crops[j].pixels[both])
-            except DegenerateOverlapError as exc:
-                raise DegenerateOverlapError(f"pair ({i}, {j}): {exc}") from exc
+        if idx == 0:  # center_crop has vetted crop_size by now
+            v = np.empty((m, crop.pixels.size))
+            a = np.empty_like(v)
+        valid = crop.valid()
+        v[idx] = valid.ravel()
+        a[idx] = _centered(crop.pixels, valid).ravel()
+    i, j = np.triu_indices(m, 1)
+    n = (v @ v.T)[i, j]
+    sab = (a @ a.T)[i, j]
+    sums = a @ v.T
+    sqsums = np.square(a, out=a) @ v.T  # squared in place: a is not used again
+    upper = _masked_ncc(n, sums[i, j], sums[j, i], sqsums[i, j], sqsums[j, i],
+                        sab, lambda t: f"pair ({i[t]}, {j[t]})")
+    values = np.eye(m)
+    values[i, j] = values[j, i] = upper
     return CorrelationMatrix(values)
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from microreg import (FilamentSpec, Image, circular_crop, normalize, synth_filament,
-                      to_polar)
+from microreg import FilamentSpec, Image, synth_filament
+# the CLI's align preprocessing, under the name the tests use
+from microreg.cli import prepare_polar as polar_pipeline  # noqa: F401
 
 # the worked transition-probability table used across sequencing tests
 TABLE1 = np.array([
@@ -30,21 +31,6 @@ def asym_scene(base_deg=0.0, noise_sigma=0.0, seed=0, size=256):
             size=size, amplitude=0.0, noise_sigma=noise_sigma, seed=seed))
         pixels = pixels + noise.pixels
     return Image(pixels)
-
-
-def polar_pipeline(img, angular=720, radial=200):
-    """Circular crop, normalize, and polar-resample an image around its center.
-
-    max_radius stays 2 px inside the crop disc so the grid is fully valid.
-    """
-    cx = (img.width - 1) / 2.0
-    cy = (img.height - 1) / 2.0
-    radius = min(img.width, img.height) / 2.0 - 1.0
-    cropped = circular_crop(img, cx, cy, radius)
-    x0 = max(0, int(np.ceil(cx - radius)))
-    y0 = max(0, int(np.ceil(cy - radius)))
-    return to_polar(normalize(cropped), cx - x0, cy - y0, angular, radial,
-                    max_radius=radius - 2.0)
 
 
 @pytest.fixture

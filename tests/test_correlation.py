@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microreg import (DegenerateOverlapError, cyclic_shift, estimate_rotation,
                       estimate_rotation_pruned, ncc, rotate,
@@ -7,6 +9,8 @@ from microreg import (DegenerateOverlapError, cyclic_shift, estimate_rotation,
 from microreg.polar import PolarImage
 
 from conftest import asym_scene, polar_pipeline
+
+ANGLES = (0.0, 15.5, 30.0, 123.5, 270.0)
 
 
 def full_grid(rng, s=16, r=8):
@@ -110,6 +114,66 @@ class TestRotationScoreCurve:
         q = PolarImage(np.ones((4, 3)), valid, 3.0)
         with pytest.raises(DegenerateOverlapError, match="shift"):
             rotation_score_curve(p, q)
+
+
+def brute_force_curve(ref, cand):
+    """Two-pass ncc over the mutual valid overlap of each rolled candidate."""
+    scores = []
+    for k in range(ref.angular_samples):
+        values = np.roll(cand.values, -k, axis=0)
+        both = ref.valid & np.roll(cand.valid, -k, axis=0)
+        scores.append(ncc(ref.values[both], values[both]))
+    return np.array(scores)
+
+
+def offset_scaled_grid(rng, s, r):
+    # a large offset against the spread is the worst case for one-pass sums
+    valid = rng.random((s, r)) < rng.uniform(0.3, 1.0)
+    valid[:, 0] = True
+    values = (rng.uniform(-50, 50)
+              + 10 ** rng.uniform(-2, 2) * rng.standard_normal((s, r)))
+    return PolarImage(values, valid, float(r))
+
+
+class TestScoreCurveOracle:
+    def test_matches_brute_force_on_offset_scaled_masked_grids(self):
+        rng = np.random.default_rng(14)
+        for _ in range(100):
+            s = int(rng.integers(4, 65))
+            r = int(rng.integers(2, 33))
+            ref = offset_scaled_grid(rng, s, r)
+            cand = offset_scaled_grid(rng, s, r)
+            curve = rotation_score_curve(ref, cand)
+            assert np.abs(curve.scores
+                          - brute_force_curve(ref, cand)).max() <= 1e-12
+            expected_counts = [(ref.valid & np.roll(cand.valid, -k, axis=0)).sum()
+                               for k in range(s)]
+            assert np.array_equal(curve.sample_counts, expected_counts)
+
+    @pytest.mark.parametrize("i", range(len(ANGLES)))
+    def test_matches_brute_force_on_paper_grid_scenes(self, i):
+        # the 720x200 scene pairs of criterion 4
+        ref = polar_pipeline(asym_scene(seed=500 + i), 720, 200)
+        cand = polar_pipeline(rotate(asym_scene(seed=600 + i), ANGLES[i]),
+                              720, 200)
+        scores = rotation_score_curve(ref, cand).scores
+        expected = brute_force_curve(ref, cand)
+        assert np.abs(scores - expected).max() <= 1e-12
+        assert np.argmax(scores) == np.argmax(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.integers(2, 40), r=st.integers(1, 12),
+           keep=st.floats(0.3, 1.0), k=st.integers(-100, 100),
+           seed=st.integers(0, 2**32 - 1))
+    def test_shift_equivariance_under_random_masks(self, s, r, keep, k, seed):
+        rng = np.random.default_rng(seed)
+        ref = masked_grid(rng, s, r, keep)
+        cand = masked_grid(rng, s, r, keep)
+        base = rotation_score_curve(ref, cand)
+        shifted = rotation_score_curve(ref, cyclic_shift(cand, k))
+        assert np.abs(shifted.scores - np.roll(base.scores, k)).max() <= 1e-12
+        assert np.array_equal(shifted.sample_counts,
+                              np.roll(base.sample_counts, k))
 
 
 class TestEstimateRotation:

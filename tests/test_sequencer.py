@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from microreg import (DegenerateOverlapError, Image, ProbabilityTable,
-                      chain_probability, check_monotonicity,
+                      center_crop, chain_probability, check_monotonicity,
                       correlation_matrix, greedy_sequence,
-                      load_probability_csv, matrix_to_csv, to_probability)
+                      load_probability_csv, matrix_to_csv, ncc, normalize,
+                      rotate, to_probability)
 from microreg.sequencer import CorrelationMatrix, load_square_csv
 
 from conftest import TABLE1, asym_scene
@@ -44,6 +45,45 @@ class TestCorrelationMatrix:
         flat_center[4:12, 4:12] = 0.0
         with pytest.raises((ValueError, DegenerateOverlapError), match=r"\d"):
             correlation_matrix([good, Image(flat_center)], crop_size=8)
+
+
+    def test_matches_pairwise_ncc_on_rotated_frames(self):
+        # rotated frames mask different corners, so each pair has its own
+        # overlap; a 56 crop of a 64 frame keeps those corners in play
+        imgs = [rotate(asym_scene(base_deg=b, size=64), a) for b, a in
+                ((0.0, 0.0), (10.0, 12.0), (40.0, 30.0), (75.0, 57.0),
+                 (120.0, 100.0), (170.0, 200.0))]
+        crops = [center_crop(normalize(img), 56) for img in imgs]
+        assert len({crop.valid().tobytes() for crop in crops}) == len(crops)
+        c = correlation_matrix(imgs, crop_size=56)
+        for i in range(len(imgs)):
+            assert c.values[i, i] == 1.0
+            for j in range(len(imgs)):
+                if i != j:
+                    both = crops[i].valid() & crops[j].valid()
+                    expected = ncc(crops[i].pixels[both], crops[j].pixels[both])
+                    assert abs(c.values[i, j] - expected) <= 1e-12
+
+    def test_zero_variance_pair_is_named(self):
+        rng = np.random.default_rng(5)
+        flat_center = rng.normal(size=(16, 16))
+        flat_center[4:12, 4:12] = 0.0
+        imgs = [Image(rng.normal(size=(16, 16))),
+                Image(rng.normal(size=(16, 16))), Image(flat_center)]
+        with pytest.raises(DegenerateOverlapError,
+                           match=r"zero variance overlap at pair \(0, 2\)"):
+            correlation_matrix(imgs, crop_size=8)
+
+    def test_empty_overlap_pair_is_named(self):
+        rng = np.random.default_rng(6)
+        left = np.zeros((8, 8), bool)
+        left[:, :4] = True
+        imgs = [Image(rng.normal(size=(8, 8))),
+                Image(rng.normal(size=(8, 8)), left),
+                Image(rng.normal(size=(8, 8)), ~left)]
+        with pytest.raises(DegenerateOverlapError,
+                           match=r"overlap of 0 samples at pair \(1, 2\)"):
+            correlation_matrix(imgs, crop_size=8)
 
 
 class TestToProbability:
