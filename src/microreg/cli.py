@@ -7,13 +7,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
 from .correlation import estimate_rotation, estimate_rotation_pruned
-from .image import Image, circular_crop, load_pgm, normalize, rotate, save_pgm
+# circular_crop and normalize stay imported: bench/tracing.py wraps them here
+from .image import (Image, center_crop, circular_crop,  # noqa: F401
+                    load_pgm, normalize, rotate, save_pgm)
 from .polar import to_polar, polar_to_csv
 from .sequencer import (correlation_matrix, greedy_sequence,
                         load_probability_csv, matrix_to_csv, to_probability)
@@ -44,21 +46,26 @@ def _write_manifest(path, command: str, parameters: dict, outputs: list) -> None
     })
 
 
-def prepare_polar(img: Image, angular: int, radial: int):
-    """Align preprocessing: circular crop, normalize, polar resample.
+@contextmanager
+def _about(path):
+    """Put the path of the file at fault in front of a ValueError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
-    max_radius stays 2 pixels inside the crop disc so every bilinear tap is
-    masked-in and the polar grid comes out fully valid (required by --pruned).
+
+def prepare_polar(img: Image, angular: int, radial: int):
+    """Align preprocessing: polar resample of the raw image about its center.
+
+    max_radius = min(w, h)/2 - 3 keeps every bilinear tap well inside the
+    largest centered disc, so the polar grid comes out fully valid (required
+    by --pruned). Nothing is cropped or normalized first: the NCC of the
+    score curve re-centers and re-scales every overlap itself.
     """
-    cx = (img.width - 1) / 2.0
-    cy = (img.height - 1) / 2.0
-    radius = min(img.width, img.height) / 2.0 - 1.0
-    cropped = circular_crop(img, cx, cy, radius)
-    normed = normalize(cropped)
-    # crop origin shifts the center into the new frame
-    ncx = cx - max(0, math.ceil(cx - radius))
-    ncy = cy - max(0, math.ceil(cy - radius))
-    return to_polar(normed, ncx, ncy, angular, radial, max_radius=radius - 2.0)
+    cx, cy = (img.width - 1) / 2.0, (img.height - 1) / 2.0
+    return to_polar(img, cx, cy, angular, radial,
+                    max_radius=min(img.width, img.height) / 2.0 - 3.0)
 
 
 def cmd_synth(args):
@@ -134,26 +141,26 @@ def cmd_matrix(args):
     if len(paths) < 2:
         raise ValueError(f"need at least 2 PGM files in {in_dir}")
     ref_path = Path(args.ref) if args.ref else paths[0]
-    ref_p = prepare_polar(load_pgm(ref_path), args.angular, args.radial)
+    with _about(ref_path):
+        ref_p = prepare_polar(load_pgm(ref_path), args.angular, args.radial)
 
     aligned_dir = Path(args.aligned_dir)
     aligned_dir.mkdir(parents=True, exist_ok=True)
-    aligned = []
+    crops = []  # all the matrix needs; each full frame is saved, then dropped
     outputs = []
     for path in paths:
-        img = load_pgm(path)
-        if path == ref_path:
-            rotated = rotate(img, 0.0)
-        else:
-            est = _align_pair(ref_p, img, args.angular, args.radial,
-                              pruned=False)
-            rotated = rotate(img, -est.angle_deg)
-        aligned.append(rotated)
+        with _about(path):
+            aligned = load_pgm(path)
+            if path != ref_path:
+                est = _align_pair(ref_p, aligned, args.angular, args.radial,
+                                  pruned=False)
+                aligned = rotate(aligned, -est.angle_deg)
+            crops.append(center_crop(aligned, args.crop))
         out = aligned_dir / path.name
-        save_pgm(rotated, out)
+        save_pgm(aligned, out)
         outputs.append(out)
 
-    c = correlation_matrix(aligned, args.crop)
+    c = correlation_matrix(crops, args.crop)
     matrix_to_csv(c.values, args.matrix_out)
     matrix_to_csv(to_probability(c).p, args.prob_out)
     outputs += [Path(args.matrix_out), Path(args.prob_out)]

@@ -165,33 +165,29 @@ def estimate_rotation(ref: PolarImage, cand: PolarImage) -> RotationEstimate:
     )
 
 
-def _unit_normalize(values: np.ndarray) -> np.ndarray:
-    centered = values - values.mean()
-    norm = np.sqrt(np.dot(centered.ravel(), centered.ravel()))
-    if norm <= 0.0:
-        raise DegenerateOverlapError("zero variance polar grid")
-    return centered / norm
-
-
 def estimate_rotation_pruned(ref: PolarImage, cand: PolarImage) -> RotationEstimate:
     """Rotation estimate with Cauchy-Schwarz early abandoning.
 
-    Requires fully valid grids so one global zero-mean unit-norm normalization
-    reduces NCC to a plain dot product. Terms are consumed radial-major (all
-    radii of angle row 0, then row 1, ...); after each row the partial dot
-    product plus sqrt(remaining ref energy * remaining candidate energy) upper
-    bounds the final score, and the shift is abandoned once that bound falls to
-    or below the best complete score so far. Returns the same (shift, angle,
-    peak) as estimate_rotation; curve entries of abandoned shifts hold the
-    bound at abandonment, not the exact score.
+    Requires fully valid grids, so centering each grid once and scaling it to
+    unit norm reduces NCC to a plain dot product. Terms are consumed
+    radial-major (all radii of angle row 0, then row 1, ...); after each row
+    the partial dot product plus sqrt(remaining ref energy * remaining
+    candidate energy) upper bounds the final score, and the shift is abandoned
+    once that bound falls to or below the best complete score so far. Returns
+    the same (shift, angle, peak) as estimate_rotation; curve entries of
+    abandoned shifts hold the bound at abandonment, not the exact score.
     """
     _check_grids(ref, cand)
     if not (ref.valid.all() and cand.valid.all()):
         raise ValueError("pruned search requires fully valid polar grids")
     s = ref.angular_samples
     r = ref.radial_samples
-    a = _unit_normalize(ref.values)
-    b = _unit_normalize(cand.values)
+    a, b = (_centered(p.values, p.valid) for p in (ref, cand))
+    ea, eb = np.vdot(a, a), np.vdot(b, b)
+    # the zero-variance floor of _masked_ncc for centered samples
+    if min(ea, eb) <= s * r * 1e-24:
+        raise DegenerateOverlapError("zero variance polar grid")
+    a, b = a / np.sqrt(ea), b / np.sqrt(eb)
 
     ea_row = (a * a).sum(axis=1)
     eb_row = (b * b).sum(axis=1)

@@ -9,7 +9,8 @@ import numpy as np
 
 # ncc stays imported: bench/tracing.py wraps microreg.sequencer.ncc
 from .correlation import _centered, _masked_ncc, ncc  # noqa: F401
-from .image import Image, center_crop, normalize
+# normalize stays imported: bench/tracing.py wraps microreg.sequencer.normalize
+from .image import Image, center_crop, normalize  # noqa: F401
 
 
 @dataclass
@@ -89,8 +90,10 @@ class MonotonicityViolation:
 
 
 def correlation_matrix(images: list[Image], crop_size: int) -> CorrelationMatrix:
-    """NCC of the normalized center crops for every image pair.
+    """NCC of the center crops for every image pair.
 
+    The crops are taken from the frames as given: NCC re-centers and
+    re-scales every overlap, so no intensity normalization comes first.
     Each pair correlates over the pixels valid in both crops. With V the
     frames x pixels validity and A the crops centered on their valid means and
     zeroed outside V, every pair's overlap sums are entries of the Gram
@@ -101,7 +104,7 @@ def correlation_matrix(images: list[Image], crop_size: int) -> CorrelationMatrix
         raise ValueError("need at least 2 images")
     for idx, img in enumerate(images):
         try:
-            crop = center_crop(normalize(img), crop_size)
+            crop = center_crop(img, crop_size)
         except ValueError as exc:
             raise ValueError(f"image {idx}: {exc}") from exc
         if idx == 0:  # center_crop has vetted crop_size by now

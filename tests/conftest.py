@@ -33,6 +33,23 @@ def asym_scene(base_deg=0.0, noise_sigma=0.0, seed=0, size=256):
     return Image(pixels)
 
 
+def dyadic(x, bits=20):
+    """x rounded to the 2**-bits grid."""
+    return np.round(np.asarray(x, dtype=np.float64) * 2.0 ** bits) / 2.0 ** bits
+
+
+def exact_affine(values, scale_exp, offset):
+    """2**scale_exp * values + offset with no rounding in the map itself.
+
+    For values on the 2**-20 grid (see dyadic), scale_exp in [-6, 6] and the
+    offset rounded to the 2**-26 grid, every result fits in 53 bits, so an
+    invariance test measures the rounding of the code under test alone. A
+    general a * x + b rounds each sample by up to half an ulp of |b|; with
+    b = 50 and a = 0.01 that alone moves an NCC over a few samples by ~1e-11.
+    """
+    return 2.0 ** scale_exp * values + dyadic(offset, 26)
+
+
 @pytest.fixture
 def table1():
     from microreg import ProbabilityTable

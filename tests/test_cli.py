@@ -1,13 +1,17 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from microreg import rotate, save_pgm
-from microreg.cli import main
+from microreg import (Image, circular_crop, normalize, rotate,
+                      rotation_score_curve, save_pgm, to_polar)
+from microreg.cli import main, prepare_polar
 from microreg.sequencer import matrix_to_csv, load_square_csv
 
 from conftest import TABLE1, asym_scene
+
+ANGLES = (0.0, 15.5, 30.0, 123.5, 270.0)
 
 
 def make_scene_pgm(path, angle=0.0, size=128):
@@ -15,6 +19,57 @@ def make_scene_pgm(path, angle=0.0, size=128):
     if angle:
         img = rotate(img, angle)
     save_pgm(img, path)
+
+
+def write_constant_pgm(path, value=200, size=64):
+    path.write_bytes(b"P5\n%d %d\n255\n" % (size, size)
+                     + bytes([value]) * (size * size))
+
+
+def assert_one_line_error(capsys, *parts):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    for part in parts:
+        assert part in err, (part, err)
+
+
+def cropped_polar(img, angular, radial):
+    """Former align preprocessing: crop the largest centered disc, normalize
+    it, and resample about the center shifted into the crop."""
+    cx = (img.width - 1) / 2.0
+    cy = (img.height - 1) / 2.0
+    radius = min(img.width, img.height) / 2.0 - 1.0
+    normed = normalize(circular_crop(img, cx, cy, radius))
+    ncx = cx - max(0, math.ceil(cx - radius))
+    ncy = cy - max(0, math.ceil(cy - radius))
+    return to_polar(normed, ncx, ncy, angular, radial, max_radius=radius - 2.0)
+
+
+def oracle_pairs():
+    # the 720x200 scene pairs of criterion 4, then a 200x256 pair and its
+    # 256x200 transpose, so the crop origin moves along each axis
+    for i, angle in enumerate(ANGLES):
+        yield asym_scene(seed=500 + i), rotate(asym_scene(seed=600 + i), angle)
+    wide = asym_scene(noise_sigma=0.1, seed=7).pixels[28:228]
+    for pixels in (wide, wide.T):
+        yield Image(pixels), rotate(Image(pixels), 30.0)
+
+
+class TestPreparePolar:
+    @pytest.mark.parametrize("ref, cand", list(oracle_pairs()))
+    def test_matches_crop_and_normalize_path(self, ref, cand):
+        new = [prepare_polar(img, 720, 200) for img in (ref, cand)]
+        old = [cropped_polar(img, 720, 200) for img in (ref, cand)]
+        for n, o in zip(new, old):
+            assert n.valid.all() and o.valid.all()
+            assert n.values.shape == o.values.shape
+            assert n.max_radius == o.max_radius
+        curve = rotation_score_curve(*new)
+        expected = rotation_score_curve(*old)
+        assert np.abs(curve.scores - expected.scores).max() <= 1e-12
+        assert np.argmax(curve.scores) == np.argmax(expected.scores)
+        assert np.array_equal(curve.sample_counts, expected.sample_counts)
 
 
 class TestSynthCommand:
@@ -73,6 +128,17 @@ class TestAlignCommand:
         for out in manifest["outputs"]:
             assert Path(out).exists()
 
+    @pytest.mark.parametrize("extra", [(), ("--pruned",)])
+    def test_constant_candidate_is_data_error(self, tmp_path, capsys, extra):
+        ref = tmp_path / "ref.pgm"
+        cand = tmp_path / "flat.pgm"
+        make_scene_pgm(ref, size=64)
+        write_constant_pgm(cand)
+        rc = main(["align", "--ref", str(ref), "--cand", str(cand),
+                   "--angular", "90", "--radial", "16", *extra])
+        assert rc == 2
+        assert_one_line_error(capsys, "zero variance")
+
     def test_missing_ref_is_data_error(self, tmp_path, capsys):
         cand = tmp_path / "cand.pgm"
         make_scene_pgm(cand)
@@ -102,6 +168,31 @@ class TestMatrixCommand:
         p = load_square_csv(prob)
         assert p.min() >= 0.0 and p.max() <= 1.0
         assert len(list((tmp_path / "aligned").glob("*.pgm"))) == 3
+
+    def test_constant_frame_is_named(self, tmp_path, capsys):
+        inputs = tmp_path / "frames"
+        inputs.mkdir()
+        make_scene_pgm(inputs / "f0.pgm", size=64)
+        write_constant_pgm(inputs / "f1.pgm")
+        make_scene_pgm(inputs / "f2.pgm", angle=20.0, size=64)
+        rc = main(["matrix", "--inputs", str(inputs), "--crop", "32",
+                   "--angular", "90", "--radial", "16",
+                   "--aligned-dir", str(tmp_path / "aligned")])
+        assert rc == 2
+        assert_one_line_error(capsys, str(inputs / "f1.pgm"), "zero variance")
+
+    def test_oversized_crop_fails_before_writing(self, tmp_path, capsys):
+        inputs = tmp_path / "frames"
+        inputs.mkdir()
+        for i in range(2):
+            make_scene_pgm(inputs / f"f{i}.pgm", angle=10.0 * i, size=64)
+        aligned = tmp_path / "aligned"
+        rc = main(["matrix", "--inputs", str(inputs), "--crop", "999",
+                   "--angular", "90", "--radial", "16",
+                   "--aligned-dir", str(aligned)])
+        assert rc == 2
+        assert_one_line_error(capsys, "crop size 999")
+        assert not list(aligned.glob("*.pgm"))
 
     def test_too_few_inputs(self, tmp_path):
         inputs = tmp_path / "frames"

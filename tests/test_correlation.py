@@ -8,7 +8,7 @@ from microreg import (DegenerateOverlapError, cyclic_shift, estimate_rotation,
                       rotation_score_curve)
 from microreg.polar import PolarImage
 
-from conftest import asym_scene, polar_pipeline
+from conftest import asym_scene, dyadic, exact_affine, polar_pipeline
 
 ANGLES = (0.0, 15.5, 30.0, 123.5, 270.0)
 
@@ -174,6 +174,26 @@ class TestScoreCurveOracle:
         assert np.abs(shifted.scores - np.roll(base.scores, k)).max() <= 1e-12
         assert np.array_equal(shifted.sample_counts,
                               np.roll(base.sample_counts, k))
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.integers(2, 40), r=st.integers(1, 12),
+           keep=st.floats(0.3, 1.0),
+           scale_exps=st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+           offsets=st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_affine_intensity_invariance_under_random_masks(
+            self, s, r, keep, scale_exps, offsets, seed):
+        # the offsets and spreads of offset_scaled_grid, as exact maps
+        rng = np.random.default_rng(seed)
+        grids = [masked_grid(rng, s, r, keep) for _ in range(2)]
+        grids = [PolarImage(dyadic(g.values), g.valid, g.max_radius)
+                 for g in grids]
+        moved = [PolarImage(exact_affine(g.values, e, b), g.valid, g.max_radius)
+                 for g, e, b in zip(grids, scale_exps, offsets)]
+        base = rotation_score_curve(*grids)
+        curve = rotation_score_curve(*moved)
+        assert np.abs(curve.scores - base.scores).max() <= 1e-12
+        assert np.array_equal(curve.sample_counts, base.sample_counts)
 
 
 class TestEstimateRotation:

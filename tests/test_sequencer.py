@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microreg import (DegenerateOverlapError, Image, ProbabilityTable,
                       center_crop, chain_probability, check_monotonicity,
@@ -10,7 +12,7 @@ from microreg import (DegenerateOverlapError, Image, ProbabilityTable,
                       rotate, to_probability)
 from microreg.sequencer import CorrelationMatrix, load_square_csv
 
-from conftest import TABLE1, asym_scene
+from conftest import TABLE1, asym_scene, dyadic, exact_affine
 
 
 class TestCorrelationMatrix:
@@ -84,6 +86,29 @@ class TestCorrelationMatrix:
         with pytest.raises(DegenerateOverlapError,
                            match=r"overlap of 0 samples at pair \(1, 2\)"):
             correlation_matrix(imgs, crop_size=8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(maps=st.lists(st.tuples(st.integers(-6, 6), st.floats(-50, 50)),
+                         min_size=2, max_size=6),
+           size=st.integers(2, 16), keep=st.floats(0.3, 1.0),
+           data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_affine_intensity_invariance_on_masked_frames(
+            self, maps, size, keep, data, seed):
+        # each frame gets its own scale 2**-6..2**6 and offset up to +-50
+        crop = data.draw(st.integers(2, size))
+        top = (size - crop) // 2
+        rng = np.random.default_rng(seed)
+        frames = []
+        for _ in maps:
+            mask = rng.random((size, size)) < keep
+            mask[top, top:top + crop] = True  # one crop row valid in all
+            frames.append(Image(dyadic(rng.standard_normal((size, size))),
+                                mask))
+        moved = [Image(exact_affine(f.pixels, e, b), f.mask)
+                 for f, (e, b) in zip(frames, maps)]
+        base = correlation_matrix(frames, crop).values
+        values = correlation_matrix(moved, crop).values
+        assert np.abs(values - base).max() <= 1e-12
 
 
 class TestToProbability:
