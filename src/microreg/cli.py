@@ -12,7 +12,8 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
-from .correlation import estimate_rotation, estimate_rotation_pruned
+from .correlation import (_unit_grid, estimate_rotation,
+                          estimate_rotation_pruned)
 # circular_crop and normalize stay imported: bench/tracing.py wraps them here
 from .image import (Image, center_crop, circular_crop,  # noqa: F401
                     load_pgm, normalize, rotate, save_pgm)
@@ -143,6 +144,7 @@ def cmd_matrix(args):
     ref_path = Path(args.ref) if args.ref else paths[0]
     with _about(ref_path):
         ref_p = prepare_polar(load_pgm(ref_path), args.angular, args.radial)
+        _unit_grid(ref_p)  # a flat reference fails here, not at a candidate
 
     aligned_dir = Path(args.aligned_dir)
     aligned_dir.mkdir(parents=True, exist_ok=True)
@@ -233,9 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angular", type=int, default=720)
     p.add_argument("--radial", type=int, default=200)
     p.add_argument("--pruned", action="store_true",
-                   help="bound-pruned search: reproduces the paper's op-count "
-                        "claim (criterion 4) but runs slower than the "
-                        "exhaustive search (bench p50 ~1.1 s vs 0.12 s)")
+                   help="bounded search by successive elimination: "
+                        "reproduces the paper's op-count claim (criterion 4); "
+                        "faster than the exhaustive FFT curve on noiseless "
+                        "scenes, slower on noisy ones")
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("matrix", help="align a directory of PGMs and build "

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polar import PolarImage
+from .polar import PolarImage, cyclic_shift
 
 _EXCURSION = 1e-6  # raw |NCC| beyond 1 + this is a bug, not rounding
 
@@ -64,12 +64,16 @@ def _clamp(x):
     return np.clip(x, -1.0, 1.0)
 
 
-def _masked_ncc(n, sa, sb, saa, sbb, sab, where):
+def _masked_ncc(n, sa, sb, saa, sbb, sab, where, exact):
     """NCC of each entry of 1-D arrays of sums over masked overlaps.
 
     n is the overlap size, sa and sb the sums of each side, saa and sbb their
     sums of squares, sab the sum of products. where(i) names entry i in the
     error raised when an overlap has fewer than 2 samples or no variance.
+    exact(i) is the two-pass ncc of entry i's overlap. It replaces entries
+    whose one-pass variances are ill-conditioned: saa - sa^2/n cancels when an
+    overlap's mean is far from zero against its spread, and its relative error
+    grows as eps * kappa with kappa = saa / var_a (Chan, Golub & LeVeque 1983).
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         var_a = saa - sa * sa / n
@@ -85,7 +89,15 @@ def _masked_ncc(n, sa, sb, saa, sbb, sab, where):
                 raise DegenerateOverlapError(
                     f"overlap of {int(n[i])} samples at {where(i)}")
             raise DegenerateOverlapError(f"zero variance overlap at {where(i)}")
-        return _clamp((sab - sa * sb / n) / np.sqrt(var_a * var_b))
+        scores = _clamp((sab - sa * sb / n) / np.sqrt(var_a * var_b))
+        kappa = np.maximum(saa / var_a, sbb / var_b)
+    for i in np.flatnonzero(8 * np.finfo(np.float64).eps * kappa > 1e-14):
+        try:
+            scores[i] = exact(i)
+        except DegenerateOverlapError:
+            raise DegenerateOverlapError(
+                f"zero variance overlap at {where(i)}") from None
+    return scores
 
 
 def ncc(a, b) -> float:
@@ -124,6 +136,16 @@ def _centered(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return np.where(valid, values - mean, 0.0)
 
 
+def _unit_grid(p: PolarImage) -> np.ndarray:
+    """Valid samples centered and scaled to unit norm, zero elsewhere."""
+    a = _centered(p.values, p.valid)
+    energy = np.vdot(a, a)
+    # the zero-variance floor of _masked_ncc for centered samples
+    if energy <= p.valid.sum() * 1e-24:
+        raise DegenerateOverlapError("zero variance polar grid")
+    return a / np.sqrt(energy)
+
+
 def _polar_layers(p: PolarImage) -> np.ndarray:
     a = _centered(p.values, p.valid)
     return np.stack([p.valid.astype(np.float64), a, a * a])
@@ -139,6 +161,8 @@ def rotation_score_curve(ref: PolarImage, cand: PolarImage) -> NccCurve:
     sums are circular cross-correlations along the angle axis, summed over the
     radii: each comes from one product of rfft spectra and one irfft (the
     masked NCC of Padfield, IEEE TIP 2012), O(S R log S) for the whole curve.
+    The rare shift whose overlap is too ill-conditioned for one-pass sums is
+    recomputed with the two-pass ncc over the rolled candidate.
     """
     _check_grids(ref, cand)
     s = ref.angular_samples
@@ -149,7 +173,13 @@ def rotation_score_curve(ref: PolarImage, cand: PolarImage) -> NccCurve:
     spectra = np.stack([np.einsum("kj,kj->k", fr[a], fc[b]) for a, b in pairs])
     n, sr, sc, srr, scc, src = np.fft.irfft(spectra, n=s, axis=1)
     n = np.rint(n)
-    scores = _masked_ncc(n, sr, sc, srr, scc, src, "shift {}".format)
+
+    def exact(k):
+        rolled = cyclic_shift(cand, -k)
+        both = ref.valid & rolled.valid
+        return ncc(ref.values[both], rolled.values[both])
+
+    scores = _masked_ncc(n, sr, sc, srr, scc, src, "shift {}".format, exact)
     return NccCurve(scores, n.astype(np.int64))
 
 
@@ -166,73 +196,66 @@ def estimate_rotation(ref: PolarImage, cand: PolarImage) -> RotationEstimate:
 
 
 def estimate_rotation_pruned(ref: PolarImage, cand: PolarImage) -> RotationEstimate:
-    """Rotation estimate with Cauchy-Schwarz early abandoning.
+    """Rotation estimate by successive elimination with Cauchy-Schwarz bounds.
 
     Requires fully valid grids, so centering each grid once and scaling it to
-    unit norm reduces NCC to a plain dot product. Terms are consumed
-    radial-major (all radii of angle row 0, then row 1, ...); after each row
-    the partial dot product plus sqrt(remaining ref energy * remaining
-    candidate energy) upper bounds the final score, and the shift is abandoned
-    once that bound falls to or below the best complete score so far. Returns
+    unit norm reduces NCC to a plain dot product. One pass over the angle rows
+    advances every live shift together: after row t each live shift has its
+    partial dot product, and partial + sqrt(remaining ref energy * remaining
+    candidate energy) upper bounds its final score. The live shift with the
+    largest partial is finished exactly whenever its partial exceeds the best
+    complete score, which raises that score early; then every live shift whose
+    bound is at or below it is dropped (Li & Salari, IEEE TIP 1995). Returns
     the same (shift, angle, peak) as estimate_rotation; curve entries of
-    abandoned shifts hold the bound at abandonment, not the exact score.
+    dropped shifts hold the bound at the row they were dropped, not the exact
+    score.
     """
     _check_grids(ref, cand)
     if not (ref.valid.all() and cand.valid.all()):
         raise ValueError("pruned search requires fully valid polar grids")
     s = ref.angular_samples
     r = ref.radial_samples
-    a, b = (_centered(p.values, p.valid) for p in (ref, cand))
-    ea, eb = np.vdot(a, a), np.vdot(b, b)
-    # the zero-variance floor of _masked_ncc for centered samples
-    if min(ea, eb) <= s * r * 1e-24:
-        raise DegenerateOverlapError("zero variance polar grid")
-    a, b = a / np.sqrt(ea), b / np.sqrt(eb)
-
-    ea_row = (a * a).sum(axis=1)
-    eb_row = (b * b).sum(axis=1)
-    # suffix_a[t] = energy of ref rows t..S-1
-    suffix_a = np.concatenate([np.cumsum(ea_row[::-1])[::-1], [0.0]])
-    suffix_a = np.maximum(suffix_a, 0.0)
+    a = _unit_grid(ref)
+    # row k + t of the doubled candidate is row (k + t) mod S, the one that
+    # shift k pairs with ref row t
+    b = np.tile(_unit_grid(cand), (2, 1))
+    # rest_a[t]: energy of ref rows t+1..S-1; shift k's candidate rows after
+    # row t hold cum_b[k + S] - cum_b[k + t + 1]
+    rest_a = np.append(np.cumsum((a * a).sum(axis=1)[:0:-1])[::-1], 0.0)
+    cum_b = np.concatenate([[0.0], np.cumsum((b * b).sum(axis=1))])
 
     scores = np.empty(s, dtype=np.float64)
-    counts = np.full(s, s * r, dtype=np.int64)
+    partial = np.zeros(s, dtype=np.float64)
+    finished = np.zeros(s, dtype=bool)
+    live = np.arange(s)
     best = -np.inf
-    best_shift = -1
     evaluated = 0
-    for k in range(s):
-        rolled = np.roll(eb_row, -k)
-        suffix_b = np.concatenate([np.cumsum(rolled[::-1])[::-1], [0.0]])
-        suffix_b = np.maximum(suffix_b, 0.0)
-        # Neumaier-compensated accumulation of the per-row dot products
-        partial = 0.0
-        comp = 0.0
-        abandoned = False
-        for t in range(s):
-            term = float(np.dot(a[t], b[(t + k) % s]))
-            evaluated += r
-            tmp = partial + term
-            if abs(partial) >= abs(term):
-                comp += (partial - tmp) + term
-            else:
-                comp += (term - tmp) + partial
-            partial = tmp
-            bound = (partial + comp) + np.sqrt(suffix_a[t + 1] * suffix_b[t + 1])
-            if bound <= best:
-                scores[k] = bound
-                abandoned = True
-                break
-        if not abandoned:
-            score = float(_clamp(partial + comp))
-            scores[k] = score
-            if score > best:
-                best = score
-                best_shift = k
-    curve = NccCurve(scores, counts)
+    for t in range(s):
+        if not live.size:
+            break
+        partial[live] += b[live + t] @ a[t]
+        evaluated += live.size * r
+        lead = live[np.argmax(partial[live])]
+        if partial[lead] > best:
+            scores[lead] = partial[lead] + np.vdot(a[t + 1:],
+                                                   b[lead + t + 1:lead + s])
+            evaluated += (s - 1 - t) * r
+            finished[lead] = True
+            best = max(best, scores[lead])
+            live = live[live != lead]
+        # after the last row the bound is the exact score, and the leader
+        # just finished is at least as high, so no shift stays live
+        bound = partial[live] + np.sqrt(rest_a[t] * np.maximum(
+            cum_b[live + s] - cum_b[live + t + 1], 0.0))
+        out = bound <= best
+        scores[live[out]] = bound[out]
+        live = live[~out]
+    curve = NccCurve(_clamp(scores), np.full(s, s * r, dtype=np.int64))
+    shift = int(np.argmax(np.where(finished, curve.scores, -np.inf)))
     return RotationEstimate(
-        shift=best_shift,
-        angle_deg=best_shift * ref.angular_step_deg,
-        peak_ncc=best,
+        shift=shift,
+        angle_deg=shift * ref.angular_step_deg,
+        peak_ncc=float(curve.scores[shift]),
         curve=curve,
         op_counts=OpCounts(evaluated=evaluated, exhaustive=s * s * r),
     )

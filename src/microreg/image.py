@@ -82,10 +82,10 @@ def _read_pgm_header(data: bytes):
     if tokens[0] != b"P5":
         raise PgmFormatError(
             f"unsupported format: magic {tokens[0]!r}, expected binary P5")
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:4])
-    except ValueError:
-        raise PgmFormatError("malformed header: non-numeric dimensions") from None
+    # bytes.isdigit is ASCII only; int() would also take signs and underscores
+    if not all(t.isdigit() for t in tokens[1:4]):
+        raise PgmFormatError("malformed header: non-numeric dimensions")
+    width, height, maxval = (int(t) for t in tokens[1:4])
     if width < 1 or height < 1:
         raise PgmFormatError("malformed header: non-positive dimensions")
     if maxval != 255:

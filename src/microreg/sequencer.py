@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# ncc stays imported: bench/tracing.py wraps microreg.sequencer.ncc
-from .correlation import _centered, _masked_ncc, ncc  # noqa: F401
+from .correlation import _centered, _masked_ncc, ncc
 # normalize stays imported: bench/tracing.py wraps microreg.sequencer.normalize
 from .image import Image, center_crop, normalize  # noqa: F401
 
@@ -97,7 +96,9 @@ def correlation_matrix(images: list[Image], crop_size: int) -> CorrelationMatrix
     Each pair correlates over the pixels valid in both crops. With V the
     frames x pixels validity and A the crops centered on their valid means and
     zeroed outside V, every pair's overlap sums are entries of the Gram
-    products V Vt, A Vt, A^2 Vt and A At. The diagonal is exactly 1.
+    products V Vt, A Vt, A^2 Vt and A At. The rare pair whose overlap is too
+    ill-conditioned for one-pass sums is recomputed with the two-pass ncc of
+    its re-cropped overlap. The diagonal is exactly 1.
     """
     m = len(images)
     if m < 2:
@@ -118,8 +119,14 @@ def correlation_matrix(images: list[Image], crop_size: int) -> CorrelationMatrix
     sab = (a @ a.T)[i, j]
     sums = a @ v.T
     sqsums = np.square(a, out=a) @ v.T  # squared in place: a is not used again
+
+    def exact(t):
+        ci, cj = (center_crop(images[k], crop_size) for k in (i[t], j[t]))
+        both = ci.valid() & cj.valid()
+        return ncc(ci.pixels[both], cj.pixels[both])
+
     upper = _masked_ncc(n, sums[i, j], sums[j, i], sqsums[i, j], sqsums[j, i],
-                        sab, lambda t: f"pair ({i[t]}, {j[t]})")
+                        sab, lambda t: f"pair ({i[t]}, {j[t]})", exact)
     values = np.eye(m)
     values[i, j] = values[j, i] = upper
     return CorrelationMatrix(values)

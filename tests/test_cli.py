@@ -32,6 +32,7 @@ def assert_one_line_error(capsys, *parts):
     assert "Traceback" not in err
     for part in parts:
         assert part in err, (part, err)
+    return err
 
 
 def cropped_polar(img, angular, radial):
@@ -181,6 +182,18 @@ class TestMatrixCommand:
         assert rc == 2
         assert_one_line_error(capsys, str(inputs / "f1.pgm"), "zero variance")
 
+    def test_constant_reference_is_named(self, tmp_path, capsys):
+        inputs = tmp_path / "frames"
+        inputs.mkdir()
+        write_constant_pgm(inputs / "f0.pgm")
+        for i in (1, 2):
+            make_scene_pgm(inputs / f"f{i}.pgm", angle=20.0 * i, size=64)
+        rc = main(["matrix", "--inputs", str(inputs), "--crop", "32",
+                   "--angular", "90", "--radial", "16",
+                   "--aligned-dir", str(tmp_path / "aligned")])
+        assert rc == 2
+        err = assert_one_line_error(capsys, "zero variance")
+        assert err.startswith(f"error: {inputs / 'f0.pgm'}: "), err
     def test_oversized_crop_fails_before_writing(self, tmp_path, capsys):
         inputs = tmp_path / "frames"
         inputs.mkdir()

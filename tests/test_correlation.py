@@ -272,3 +272,28 @@ class TestEstimateRotationPruned:
         rng = np.random.default_rng(13)
         with pytest.raises(DegenerateOverlapError):
             estimate_rotation_pruned(flat, full_grid(rng, 8, 4))
+
+    @settings(max_examples=150, deadline=None)
+    @given(s=st.integers(2, 40), r=st.integers(1, 12),
+           kind=st.sampled_from(["random", "self", "shifted"]),
+           k=st.integers(0, 39), noise=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_oracle_is_exhaustive_search(self, s, r, kind, k, noise, seed):
+        rng = np.random.default_rng(seed)
+        ref = full_grid(rng, s, r)
+        if kind == "random":
+            cand = full_grid(rng, s, r)
+        elif kind == "self":
+            cand = ref
+        else:
+            cand = PolarImage(cyclic_shift(ref, k).values
+                              + noise * rng.standard_normal((s, r)),
+                              ref.valid, ref.max_radius)
+        exact = estimate_rotation(ref, cand)
+        pruned = estimate_rotation_pruned(ref, cand)
+        assert pruned.shift == exact.shift
+        assert abs(pruned.peak_ncc - exact.peak_ncc) <= 1e-12
+        assert pruned.op_counts.evaluated <= pruned.op_counts.exhaustive
+        assert pruned.peak_ncc == pruned.curve.scores.max()
+        # entries of dropped shifts are upper bounds of their exact scores
+        assert (pruned.curve.scores >= exact.curve.scores - 1e-12).all()

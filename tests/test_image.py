@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microreg import (DegenerateImageError, Image, PgmFormatError, center_crop,
                       circular_crop, load_pgm, normalize, rotate,
@@ -48,6 +50,30 @@ class TestLoadPgm:
         with pytest.raises(PgmFormatError, match="malformed header"):
             load_pgm(p)
 
+    @pytest.mark.parametrize("header", [b"P5 1_6 1 255\n", b"P5 +16 1 255\n",
+                                        b"P5 16 1 2_55\n"])
+    def test_non_digit_numbers_rejected(self, tmp_path, header):
+        # int() reads each of these as 16 or 255
+        p = tmp_path / "a.pgm"
+        write_pgm_bytes(p, header, bytes(16))
+        with pytest.raises(PgmFormatError, match="non-numeric"):
+            load_pgm(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(header=st.one_of(
+        st.binary(max_size=40),
+        st.text(alphabet="P5 \t\n#0123456789+-_.e", max_size=40).map(
+            str.encode)), payload=st.binary(max_size=20))
+    def test_fuzzed_header_fails_only_with_format_error(
+            self, tmp_path_factory, header, payload):
+        p = tmp_path_factory.getbasetemp() / "fuzz.pgm"
+        write_pgm_bytes(p, header, payload)
+        try:
+            img = load_pgm(p)
+        except PgmFormatError:
+            return
+        assert img.pixels.size <= len(payload)
+
 
 class TestSavePgm:
     def payload(self, path):
@@ -84,6 +110,18 @@ class TestSavePgm:
         save_pgm(Image(pixels), p)
         save_pgm(load_pgm(p), tmp_path / "b.pgm")
         assert (tmp_path / "b.pgm").read_bytes() == p.read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(height=st.integers(1, 12), width=st.integers(2, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_round_trip_of_8_bit_images(self, tmp_path_factory, height,
+                                        width, seed):
+        rng = np.random.default_rng(seed)
+        pixels = rng.integers(0, 256, size=(height, width)).astype(float)
+        pixels.flat[rng.permutation(pixels.size)[:2]] = 0.0, 255.0
+        p = tmp_path_factory.getbasetemp() / "round_trip.pgm"
+        save_pgm(Image(pixels), p)
+        assert np.array_equal(load_pgm(p).pixels, pixels)
 
 
 class TestNormalize:

@@ -96,19 +96,28 @@ class TestCorrelationMatrix:
             self, maps, size, keep, data, seed):
         # each frame gets its own scale 2**-6..2**6 and offset up to +-50
         crop = data.draw(st.integers(2, size))
-        top = (size - crop) // 2
-        rng = np.random.default_rng(seed)
-        frames = []
-        for _ in maps:
-            mask = rng.random((size, size)) < keep
-            mask[top, top:top + crop] = True  # one crop row valid in all
-            frames.append(Image(dyadic(rng.standard_normal((size, size))),
-                                mask))
-        moved = [Image(exact_affine(f.pixels, e, b), f.mask)
-                 for f, (e, b) in zip(frames, maps)]
-        base = correlation_matrix(frames, crop).values
-        values = correlation_matrix(moved, crop).values
-        assert np.abs(values - base).max() <= 1e-12
+        assert affine_invariance_error(maps, size, keep, crop, seed) <= 1e-12
+
+    def test_affine_intensity_invariance_on_two_pixel_overlaps(self):
+        # a falsifying example of the property above: overlaps of 2 pixels
+        # whose NCC is exactly +-1, one frame offset by +2
+        maps = [(0, 0.0)] * 4 + [(0, 2.0)]
+        assert affine_invariance_error(maps, 3, 0.5, 2, 3) <= 1e-12
+
+
+def affine_invariance_error(maps, size, keep, crop, seed):
+    """Largest change of the matrix when frame i is mapped exactly by maps[i]."""
+    top = (size - crop) // 2
+    rng = np.random.default_rng(seed)
+    frames = []
+    for _ in maps:
+        mask = rng.random((size, size)) < keep
+        mask[top, top:top + crop] = True  # one crop row valid in all
+        frames.append(Image(dyadic(rng.standard_normal((size, size))), mask))
+    moved = [Image(exact_affine(f.pixels, e, b), f.mask)
+             for f, (e, b) in zip(frames, maps)]
+    base = correlation_matrix(frames, crop).values
+    return np.abs(correlation_matrix(moved, crop).values - base).max()
 
 
 class TestToProbability:
