@@ -97,13 +97,6 @@ def cmd_polar(args):
     return params, [args.out]
 
 
-def _align_pair(ref_p, cand_img, angular, radial, pruned):
-    cand_p = prepare_polar(cand_img, angular, radial)
-    if pruned:
-        return estimate_rotation_pruned(ref_p, cand_p)
-    return estimate_rotation(ref_p, cand_p)
-
-
 def cmd_align(args):
     cand_path = Path(args.cand)
     out_image = Path(args.out) if args.out else cand_path.with_name(
@@ -113,10 +106,14 @@ def cmd_align(args):
     out_report = Path(args.report) if args.report else cand_path.with_name(
         cand_path.stem + "_report.json")
 
-    ref_img = load_pgm(args.ref)
-    cand_img = load_pgm(args.cand)
-    est = _align_pair(prepare_polar(ref_img, args.angular, args.radial),
-                      cand_img, args.angular, args.radial, args.pruned)
+    with _about(args.ref):
+        ref_p = prepare_polar(load_pgm(args.ref), args.angular, args.radial)
+        _unit_grid(ref_p)  # a flat reference fails here, not at a candidate
+    with _about(args.cand):
+        cand_img = load_pgm(args.cand)
+        cand_p = prepare_polar(cand_img, args.angular, args.radial)
+        search = estimate_rotation_pruned if args.pruned else estimate_rotation
+        est = search(ref_p, cand_p)
 
     save_pgm(rotate(cand_img, -est.angle_deg), out_image)
     with open(out_curve, "w", encoding="ascii", newline="\n") as f:
@@ -154,8 +151,8 @@ def cmd_matrix(args):
         with _about(path):
             aligned = load_pgm(path)
             if path != ref_path:
-                est = _align_pair(ref_p, aligned, args.angular, args.radial,
-                                  pruned=False)
+                est = estimate_rotation(
+                    ref_p, prepare_polar(aligned, args.angular, args.radial))
                 aligned = rotate(aligned, -est.angle_deg)
             crops.append(center_crop(aligned, args.crop))
         out = aligned_dir / path.name

@@ -185,30 +185,33 @@ def bilinear_sample(pixels: np.ndarray, mask: np.ndarray | None,
     """Bilinear sampling at float coordinates with validity tracking.
 
     A sample is valid only if every tap with nonzero weight lies in bounds and,
-    when a mask is given, is masked-in. Returns (values, valid); values at
-    invalid samples are unspecified and must be replaced by the caller.
+    when a mask is given, is masked-in. The image is read through a border of
+    invalid zero pixels, one wide on the left and top and two on the right
+    and bottom, and each coordinate is clamped once to [-1, w] and [-1, h]:
+    every tap then lands inside the padded image, and a sample out of range
+    reads a border tap with nonzero weight. Infinite coordinates clamp to the
+    border and NaN ones to -1, so they come out invalid too. Returns
+    (values, valid); values at invalid samples are unspecified and must be
+    replaced by the caller.
     """
     h, w = pixels.shape
-    x0 = np.floor(xs).astype(np.int64)
-    y0 = np.floor(ys).astype(np.int64)
-    fx = xs - x0
-    fy = ys - y0
+    border = ((1, 2), (1, 2))
+    taps = np.pad(pixels, border).ravel()
+    ok = np.pad(np.ones((h, w), bool) if mask is None else mask, border).ravel()
+    x = np.fmin(np.fmax(xs, -1.0), w)  # fmax takes -1 over NaN
+    y = np.fmin(np.fmax(ys, -1.0), h)
+    x0 = np.floor(x)
+    y0 = np.floor(y)
+    fx = x - x0
+    fy = y - y0
+    base = ((y0 + 1) * (w + 3) + x0 + 1).astype(np.intp)
     values = np.zeros(xs.shape, dtype=np.float64)
     valid = np.ones(xs.shape, dtype=bool)
-    for dx, dy, wt in (
-        (0, 0, (1 - fx) * (1 - fy)),
-        (1, 0, fx * (1 - fy)),
-        (0, 1, (1 - fx) * fy),
-        (1, 1, fx * fy),
-    ):
-        xi = x0 + dx
-        yi = y0 + dy
-        inb = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-        xc = np.clip(xi, 0, w - 1)
-        yc = np.clip(yi, 0, h - 1)
-        ok = inb if mask is None else inb & mask[yc, xc]
-        values += np.where(ok, pixels[yc, xc], 0.0) * wt
-        valid &= ok | (wt == 0)
+    for offset, wt in ((0, (1 - fx) * (1 - fy)), (1, fx * (1 - fy)),
+                       (w + 3, (1 - fx) * fy), (w + 4, fx * fy)):
+        i = base + offset
+        values += taps[i] * wt
+        valid &= ok[i] | (wt == 0)
     return values, valid
 
 

@@ -54,14 +54,17 @@ def to_polar(img: Image, cx: float, cy: float,
     Sample (i, j) is taken at (cx + r_j cos t_i, cy + r_j sin t_i) with
     t_i = i * (360/S) degrees. Defaults follow the operating grid of 720
     angles (0.5 degree steps) by 200 radii; max_radius defaults to
-    min(width, height)/2 - 1.
+    min(width, height)/2 - 1. A center or max_radius that is not finite
+    raises ValueError.
     """
     if angular_samples < 1 or radial_samples < 1:
         raise ValueError("angular_samples and radial_samples must be >= 1")
     if max_radius is None:
         max_radius = min(img.width, img.height) / 2.0 - 1.0
-    if max_radius <= 0:
-        raise ValueError("max_radius must be positive")
+    if not np.isfinite([cx, cy]).all():
+        raise ValueError(f"center ({cx}, {cy}) must be finite")
+    if not 0 < max_radius < np.inf:  # NaN fails both tests
+        raise ValueError(f"max_radius must be finite and > 0, got {max_radius}")
     thetas = np.deg2rad(np.arange(angular_samples) * (360.0 / angular_samples))
     radii = (np.arange(radial_samples) + 0.5) * (max_radius / radial_samples)
     xs = cx + radii[None, :] * np.cos(thetas)[:, None]

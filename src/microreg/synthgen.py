@@ -37,8 +37,8 @@ class FilamentSpec:
             raise ValueError("half_length must be < size/2")
         if self.width_sigma <= 0:
             raise ValueError("width_sigma must be positive")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < np.inf:  # NaN fails both tests
+            raise ValueError("noise_sigma must be finite and >= 0")
 
 
 def synth_filament(spec: FilamentSpec) -> Image:

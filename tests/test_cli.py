@@ -89,6 +89,32 @@ class TestSynthCommand:
         assert rc == 2
 
 
+class TestNonFiniteParameters:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("extra, name", [
+        (["--center", "nan", "nan"], "center"),
+        (["--center", "inf", "3"], "center"),
+        (["--max-radius", "inf"], "max_radius"),
+    ])
+    def test_polar(self, tmp_path, capsys, extra, name):
+        src = tmp_path / "in.pgm"
+        make_scene_pgm(src, size=32)
+        rc = main(["polar", "--input", str(src), "--out",
+                   str(tmp_path / "p.csv"), *extra])
+        assert rc == 2
+        err = assert_one_line_error(capsys, "must be finite")
+        assert err.startswith(f"error: {name} "), err
+
+    @pytest.mark.filterwarnings("error")
+    def test_synth_noise(self, tmp_path, capsys):
+        out = tmp_path / "a.pgm"
+        rc = main(["synth", "--size", "32", "--half-length", "8",
+                   "--noise", "nan", "--out", str(out)])
+        assert rc == 2
+        assert_one_line_error(capsys, "noise_sigma must be finite")
+        assert not out.exists()
+
+
 class TestAlignCommand:
     def run_align(self, tmp_path, extra=()):
         ref = tmp_path / "ref.pgm"
@@ -138,7 +164,30 @@ class TestAlignCommand:
         rc = main(["align", "--ref", str(ref), "--cand", str(cand),
                    "--angular", "90", "--radial", "16", *extra])
         assert rc == 2
-        assert_one_line_error(capsys, "zero variance")
+        err = assert_one_line_error(capsys, "zero variance")
+        assert err.startswith(f"error: {cand}: "), err
+
+    @pytest.mark.parametrize("extra", [(), ("--pruned",)])
+    def test_constant_reference_is_named(self, tmp_path, capsys, extra):
+        ref = tmp_path / "flat.pgm"
+        cand = tmp_path / "cand.pgm"
+        write_constant_pgm(ref)
+        make_scene_pgm(cand, size=64)
+        rc = main(["align", "--ref", str(ref), "--cand", str(cand),
+                   "--angular", "90", "--radial", "16", *extra])
+        assert rc == 2
+        err = assert_one_line_error(capsys, "zero variance")
+        assert err.startswith(f"error: {ref}: "), err
+
+    def test_truncated_reference_is_named(self, tmp_path, capsys):
+        ref = tmp_path / "short.pgm"
+        cand = tmp_path / "cand.pgm"
+        ref.write_bytes(b"P5\n64 64\n255\n\x00\x01")
+        make_scene_pgm(cand, size=64)
+        rc = main(["align", "--ref", str(ref), "--cand", str(cand)])
+        assert rc == 2
+        err = assert_one_line_error(capsys, "truncated payload")
+        assert err.startswith(f"error: {ref}: "), err
 
     def test_missing_ref_is_data_error(self, tmp_path, capsys):
         cand = tmp_path / "cand.pgm"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from microreg import (DegenerateImageError, Image, PgmFormatError, center_crop,
                       circular_crop, load_pgm, normalize, rotate,
                       rotation_matrix, save_pgm, warp_affine)
+from microreg.image import bilinear_sample
 
 
 def write_pgm_bytes(path, header, payload):
@@ -209,6 +212,89 @@ class TestCenterCrop:
             center_crop(img, 0)
         with pytest.raises(ValueError):
             center_crop(img, 5)
+
+
+def per_tap_bilinear_sample(pixels, mask, xs, ys):
+    """Reference sampler: a bounds test, two clips and a masked gather per tap.
+
+    Casting a NaN, infinite or far-out floor to int64 is undefined and warns;
+    on x86 it gives INT64_MIN, which every bounds test rejects, so the sample
+    comes out invalid. Call it under np.errstate.
+    """
+    h, w = pixels.shape
+    x0 = np.floor(xs).astype(np.int64)
+    y0 = np.floor(ys).astype(np.int64)
+    fx = xs - x0
+    fy = ys - y0
+    values = np.zeros(xs.shape, dtype=np.float64)
+    valid = np.ones(xs.shape, dtype=bool)
+    for dx, dy, wt in (
+        (0, 0, (1 - fx) * (1 - fy)),
+        (1, 0, fx * (1 - fy)),
+        (0, 1, (1 - fx) * fy),
+        (1, 1, fx * fy),
+    ):
+        xi = x0 + dx
+        yi = y0 + dy
+        inb = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
+        xc = np.clip(xi, 0, w - 1)
+        yc = np.clip(yi, 0, h - 1)
+        ok = inb if mask is None else inb & mask[yc, xc]
+        values += np.where(ok, pixels[yc, xc], 0.0) * wt
+        valid &= ok | (wt == 0)
+    return values, valid
+
+
+# the fraction of -1e-20 rounds to 1.0, which gives its floor taps weight 0
+FAR = (-1e-20, 1e300, -1e300, np.inf, -np.inf, np.nan)
+
+
+def coordinates(n):
+    """Coordinates along an axis of n pixels: inside, on and beyond its edges,
+    integers and their float neighbours, and far or non-finite values."""
+    near_integers = st.tuples(st.integers(-3, n + 2), st.sampled_from(
+        (-1, 0, 1))).map(lambda t: np.nextafter(float(t[0]), t[0] + t[1]))
+    return st.one_of(st.floats(-3.0, n + 2.0), near_integers,
+                     st.sampled_from(FAR))
+
+
+@st.composite
+def sampling_cases(draw):
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    # -0.0 among negative pixels is what tells a sum started at -0.0 apart
+    pixel = st.floats(-1e3, 1e3) | st.sampled_from((-0.0, -1.0))
+    pixels = np.array(draw(st.lists(pixel, min_size=h * w,
+                                    max_size=h * w))).reshape(h, w)
+    mask = draw(st.none() | st.lists(
+        st.booleans(), min_size=h * w, max_size=h * w).map(
+        lambda m: np.array(m).reshape(h, w)))
+    n = draw(st.integers(1, 16))
+    xs = draw(st.lists(coordinates(w), min_size=n, max_size=n))
+    ys = draw(st.lists(coordinates(h), min_size=n, max_size=n))
+    return pixels, mask, np.array(xs), np.array(ys)
+
+
+class TestBilinearSample:
+    @settings(max_examples=300, deadline=None)
+    @given(case=sampling_cases())
+    def test_matches_per_tap_reference(self, case):
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected, expected_valid = per_tap_bilinear_sample(*case)
+        values, valid = bilinear_sample(*case)
+        assert np.array_equal(valid, expected_valid)
+        assert np.array_equal(values[valid].view(np.int64),
+                              expected[valid].view(np.int64))
+
+    def test_non_finite_coordinates_are_invalid_without_warnings(self):
+        pixels = np.arange(12.0).reshape(3, 4)
+        xs = np.array([np.nan, np.inf, -np.inf, 1.0, 1.0, 1.0, 1e300, 1.5])
+        ys = np.array([1.0, 1.0, 1.0, np.nan, np.inf, -np.inf, -1e300, 1.0])
+        for mask in (None, np.ones(pixels.shape, dtype=bool)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values, valid = bilinear_sample(pixels, mask, xs, ys)
+            assert valid.tolist() == [False] * 7 + [True]
+            assert values[-1] == 5.5
 
 
 def rotate90_oracle(pixels):

@@ -13,6 +13,8 @@ class TestSpecValidation:
         {"half_length": 200.0},
         {"width_sigma": 0.0},
         {"noise_sigma": -0.1},
+        {"noise_sigma": float("nan")},
+        {"noise_sigma": float("inf")},
     ])
     def test_invalid_specs(self, kwargs):
         with pytest.raises(ValueError):
