@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .image import (Image, DegenerateImageError, PgmFormatError, center_crop,
                     circular_crop, load_pgm, normalize, rotate,
-                    rotation_matrix, save_pgm, warp_affine)
+                    rotation_matrix, save_pgm)
 from .polar import PolarImage, cyclic_shift, polar_to_csv, to_polar
 from .correlation import (DegenerateOverlapError, NccCurve, OpCounts,
                           RotationEstimate, estimate_rotation,

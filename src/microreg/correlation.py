@@ -64,6 +64,13 @@ def _clamp(x):
     return np.clip(x, -1.0, 1.0)
 
 
+def _flat(ss, n, mean):
+    """True where ss, the sum of squared deviations of n samples about mean,
+    is float residue of a constant rather than variance: the floor is
+    relative to the mean's magnitude (and absolute below 1)."""
+    return ss <= n * (1e-12 * np.maximum(1.0, np.abs(mean))) ** 2
+
+
 def _masked_ncc(n, sa, sb, saa, sbb, sab, where, exact):
     """NCC of each entry of 1-D arrays of sums over masked overlaps.
 
@@ -78,9 +85,7 @@ def _masked_ncc(n, sa, sb, saa, sbb, sab, where, exact):
     with np.errstate(divide="ignore", invalid="ignore"):
         var_a = saa - sa * sa / n
         var_b = sbb - sb * sb / n
-        # relative floor absorbs the float residue of constant overlaps
-        flat = ((var_a <= n * (1e-12 * np.maximum(1.0, np.abs(sa / n))) ** 2)
-                | (var_b <= n * (1e-12 * np.maximum(1.0, np.abs(sb / n))) ** 2))
+        flat = _flat(var_a, n, sa / n) | _flat(var_b, n, sb / n)
         few = n < 2
         bad = np.flatnonzero(few | flat)
         if bad.size:
@@ -114,9 +119,7 @@ def ncc(a, b) -> float:
     db = b - mb
     ssa = float(np.dot(da, da))
     ssb = float(np.dot(db, db))
-    # relative floor absorbs the float residue of constant inputs
-    if (ssa <= a.size * (1e-12 * max(1.0, abs(ma))) ** 2
-            or ssb <= b.size * (1e-12 * max(1.0, abs(mb))) ** 2):
+    if _flat(ssa, a.size, ma) or _flat(ssb, b.size, mb):
         raise DegenerateOverlapError("zero variance in input samples")
     return float(_clamp(float(np.dot(da, db)) / np.sqrt(ssa * ssb)))
 
@@ -140,8 +143,7 @@ def _unit_grid(p: PolarImage) -> np.ndarray:
     """Valid samples centered and scaled to unit norm, zero elsewhere."""
     a = _centered(p.values, p.valid)
     energy = np.vdot(a, a)
-    # the zero-variance floor of _masked_ncc for centered samples
-    if energy <= p.valid.sum() * 1e-24:
+    if _flat(energy, p.valid.sum(), 0.0):  # centered: the mean is 0
         raise DegenerateOverlapError("zero variance polar grid")
     return a / np.sqrt(energy)
 

@@ -1,4 +1,4 @@
-"""Grayscale image container, binary PGM I/O, normalization, crops, and warps."""
+"""Grayscale image container, binary PGM I/O, normalization, crops, and rotation."""
 from __future__ import annotations
 
 import math
@@ -217,6 +217,8 @@ def bilinear_sample(pixels: np.ndarray, mask: np.ndarray | None,
 
 def rotation_matrix(angle_deg: float, cx: float, cy: float) -> np.ndarray:
     """Homogeneous rotation about (cx, cy); positive angles turn +x toward +y."""
+    if not math.isfinite(angle_deg):
+        raise ValueError(f"angle_deg must be finite, got {angle_deg!r}")
     t = math.radians(angle_deg)
     c, s = math.cos(t), math.sin(t)
     # snap float residue at axis-aligned angles so quarter turns stay exact
@@ -229,36 +231,17 @@ def rotation_matrix(angle_deg: float, cx: float, cy: float) -> np.ndarray:
     ])
 
 
-def _check_affine(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape != (3, 3):
-        raise ValueError("affine matrix must be 3x3")
-    if not np.isfinite(m).all():
-        raise ValueError("affine matrix must be finite")
-    if not np.array_equal(m[2], [0.0, 0.0, 1.0]):
-        raise ValueError("affine matrix bottom row must be (0, 0, 1)")
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if abs(det) <= 1e-12:
-        raise ValueError("singular affine matrix")
-    return m
+def rotate(img: Image, angle_deg: float) -> Image:
+    """Rotate about the image center ((w-1)/2, (h-1)/2) by inverse mapping.
 
-
-def warp_affine(img: Image, m: np.ndarray, fill: float = 0.0) -> Image:
-    """Apply a forward affine transform by inverse mapping with bilinear taps.
-
-    Output pixels whose source support leaves the image or touches a
-    masked-out pixel get `fill` and are masked out.
+    Each output pixel takes the bilinear sample at its source under the
+    inverse rotation. Output pixels whose source support leaves the image or
+    touches a masked-out pixel are 0 and masked out.
     """
-    m = _check_affine(m)
-    minv = np.linalg.inv(m)
+    m = rotation_matrix(angle_deg, (img.width - 1) / 2.0, (img.height - 1) / 2.0)
+    minv = np.linalg.inv(m)  # not R(-angle): that differs in the last ulp
     ys, xs = np.mgrid[0:img.height, 0:img.width].astype(np.float64)
     sx = minv[0, 0] * xs + minv[0, 1] * ys + minv[0, 2]
     sy = minv[1, 0] * xs + minv[1, 1] * ys + minv[1, 2]
     values, valid = bilinear_sample(img.pixels, img.mask, sx, sy)
-    return Image(np.where(valid, values, fill), valid)
-
-
-def rotate(img: Image, angle_deg: float) -> Image:
-    """Rotate about the image center ((w-1)/2, (h-1)/2), fill 0."""
-    m = rotation_matrix(angle_deg, (img.width - 1) / 2.0, (img.height - 1) / 2.0)
-    return warp_affine(img, m, fill=0.0)
+    return Image(np.where(valid, values, 0.0), valid)

@@ -12,6 +12,25 @@ from .correlation import _centered, _masked_ncc, ncc
 from .image import Image, center_crop, normalize  # noqa: F401
 
 
+def _check_unit_table(values, name: str, lo: float) -> np.ndarray:
+    """Vet a square, symmetric, unit-diagonal table with entries in [lo, 1]."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] < 2:
+        raise ValueError(f"{name} must be a square matrix of size >= 2")
+    bad = np.argwhere(~np.isfinite(v))
+    if bad.size:  # NaN would pass every comparison below
+        i, j = bad[0]
+        raise ValueError(f"{name} entry ({i}, {j}) must be finite, "
+                         f"got {float(v[i, j])!r}")
+    if np.abs(v - v.T).max() > 1e-12:
+        raise ValueError(f"{name} must be symmetric")
+    if np.abs(np.diag(v) - 1.0).max() > 1e-12:
+        raise ValueError(f"{name} diagonal must be 1")
+    if v.min() < lo or v.max() > 1.0:
+        raise ValueError(f"{name} entries must lie in [{lo:g}, 1]")
+    return v
+
+
 @dataclass
 class CorrelationMatrix:
     """Symmetric n x n matrix of center-crop NCC values with unit diagonal."""
@@ -19,16 +38,7 @@ class CorrelationMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] < 2:
-            raise ValueError("values must be a square matrix of size >= 2")
-        if np.abs(v - v.T).max() > 1e-12:
-            raise ValueError("matrix must be symmetric")
-        if np.abs(np.diag(v) - 1.0).max() > 1e-12:
-            raise ValueError("diagonal must be 1")
-        if np.abs(v).max() > 1.0:
-            raise ValueError("entries must lie in [-1, 1]")
-        self.values = v
+        self.values = _check_unit_table(self.values, "correlation matrix", -1.0)
 
     @property
     def n(self) -> int:
@@ -42,16 +52,7 @@ class ProbabilityTable:
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=np.float64)
-        if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] < 2:
-            raise ValueError("p must be a square matrix of size >= 2")
-        if np.abs(p - p.T).max() > 1e-12:
-            raise ValueError("table must be symmetric")
-        if np.abs(np.diag(p) - 1.0).max() > 1e-12:
-            raise ValueError("diagonal must be 1")
-        if p.min() < 0.0 or p.max() > 1.0:
-            raise ValueError("entries must lie in [0, 1]")
-        self.p = p
+        self.p = _check_unit_table(self.p, "probability table", 0.0)
 
     @property
     def n(self) -> int:

@@ -5,6 +5,7 @@ cross-profile on a flat background, plus optional seeded Gaussian noise.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +34,17 @@ class FilamentSpec:
     def __post_init__(self):
         if self.size < 16:
             raise ValueError("size must be >= 16")
+        for name in ("orientation_deg", "half_length", "width_sigma",
+                     "amplitude", "background", "noise_sigma"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.half_length < self.size / 2:
             raise ValueError("half_length must be < size/2")
         if self.width_sigma <= 0:
             raise ValueError("width_sigma must be positive")
-        if not 0 <= self.noise_sigma < np.inf:  # NaN fails both tests
-            raise ValueError("noise_sigma must be finite and >= 0")
+        if self.noise_sigma < 0:
+            raise ValueError("noise_sigma must be >= 0")
 
 
 def synth_filament(spec: FilamentSpec) -> Image:

@@ -115,6 +115,25 @@ class TestNonFiniteParameters:
         assert not out.exists()
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("extra, name", [
+        (["--angle", "inf"], "orientation_deg"),
+        (["--angle", "nan"], "orientation_deg"),
+        (["--half-length", "nan"], "half_length"),
+        (["--width-sigma", "inf"], "width_sigma"),
+        (["--amplitude", "inf"], "amplitude"),
+        (["--background", "nan"], "background"),
+    ])
+    def test_synth(self, tmp_path, capsys, extra, name):
+        out = tmp_path / "a.pgm"
+        rc = main(["synth", "--size", "32", "--half-length", "8", *extra,
+                   "--out", str(out)])
+        assert rc == 2
+        err = assert_one_line_error(capsys, "must be finite")
+        assert err.startswith(f"error: {name} "), err
+        assert not out.exists()
+
+
 class TestAlignCommand:
     def run_align(self, tmp_path, extra=()):
         ref = tmp_path / "ref.pgm"
@@ -296,6 +315,21 @@ class TestSequenceCommand:
         assert rc == 0
         lines = frames_path.read_text().splitlines()
         assert lines == [str(frames_dir / "f0.pgm"), str(frames_dir / "f1.pgm")]
+
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_entry_is_data_error(self, tmp_path, capsys, bad):
+        table = tmp_path / "table.csv"
+        values = TABLE1.copy()
+        values[0, 1] = values[1, 0] = float(bad)
+        matrix_to_csv(values, table)
+        plan_path = tmp_path / "plan.json"
+        rc = main(["sequence", "--matrix", str(table), "--start", "0",
+                   "--length", "3", "--plan", str(plan_path),
+                   "--frames", str(tmp_path / "frames.txt")])
+        assert rc == 2
+        assert_one_line_error(capsys, "entry (0, 1) must be finite")
+        assert not plan_path.exists()
 
 
 class TestUsageErrors:

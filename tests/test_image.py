@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from microreg import (DegenerateImageError, Image, PgmFormatError, center_crop,
                       circular_crop, load_pgm, normalize, rotate,
-                      rotation_matrix, save_pgm, warp_affine)
+                      rotation_matrix, save_pgm)
 from microreg.image import bilinear_sample
 
 
@@ -310,56 +310,65 @@ def rotate90_oracle(pixels):
     return out
 
 
-class TestWarpAffine:
-    def test_identity(self):
-        img = Image(np.arange(9.0).reshape(3, 3),
-                    np.arange(9).reshape(3, 3) % 2 == 0)
-        out = warp_affine(img, np.eye(3))
-        assert np.array_equal(out.pixels[out.mask], img.pixels[out.mask])
-        assert np.array_equal(out.mask, img.mask)
+def warp_affine(img, m):
+    """Reference warp: inverse-map every output pixel through any affine m and
+    sample the reference sampler there; out-of-support pixels are 0 and
+    masked out."""
+    minv = np.linalg.inv(m)
+    ys, xs = np.mgrid[0:img.height, 0:img.width].astype(np.float64)
+    sx = minv[0, 0] * xs + minv[0, 1] * ys + minv[0, 2]
+    sy = minv[1, 0] * xs + minv[1, 1] * ys + minv[1, 2]
+    values, valid = per_tap_bilinear_sample(img.pixels, img.mask, sx, sy)
+    return Image(np.where(valid, values, 0.0), valid)
 
-    def test_translation_shifts_columns(self):
-        ramp = Image(np.tile(np.arange(3.0), (3, 1)))
-        m = np.array([[1.0, 0, 1], [0, 1, 0], [0, 0, 1]])
-        out = warp_affine(ramp, m, fill=7.0)
-        assert np.array_equal(out.pixels[:, 0], [7.0, 7.0, 7.0])
-        assert not out.mask[:, 0].any()
-        assert np.array_equal(out.pixels[:, 1:], ramp.pixels[:, :2])
 
-    def test_quarter_turn_matches_permutation_oracle(self):
-        rng = np.random.default_rng(4)
-        pixels = rng.normal(size=(5, 5))
-        m = rotation_matrix(90.0, 2.0, 2.0)
-        out = warp_affine(Image(pixels), m)
-        assert np.abs(out.pixels - rotate90_oracle(pixels)).max() <= 1e-9
-
-    def test_integer_translation_matches_permutation(self):
-        rng = np.random.default_rng(5)
-        pixels = rng.normal(size=(6, 6))
-        m = np.array([[1.0, 0, 2], [0, 1, -1], [0, 0, 1]])
-        out = warp_affine(Image(pixels), m)
-        ok = out.mask
-        expected = np.roll(np.roll(pixels, 2, axis=1), -1, axis=0)
-        assert np.abs(out.pixels[ok] - expected[ok]).max() <= 1e-9
-
-    def test_singular_matrix_raises(self):
-        m = np.array([[1.0, 1, 0], [1, 1, 0], [0, 0, 1]])
-        with pytest.raises(ValueError, match="singular"):
-            warp_affine(Image(np.ones((3, 3))), m)
-
-    def test_bad_bottom_row_raises(self):
-        m = np.eye(3)
-        m[2, 0] = 0.5
-        with pytest.raises(ValueError, match="bottom row"):
-            warp_affine(Image(np.ones((3, 3))), m)
+@st.composite
+def masked_images(draw):
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    pixels = draw(st.lists(st.floats(-1e3, 1e3), min_size=h * w,
+                           max_size=h * w))
+    mask = draw(st.none() | st.lists(
+        st.booleans(), min_size=h * w, max_size=h * w).filter(any).map(
+        lambda m: np.array(m).reshape(h, w)))
+    return Image(np.array(pixels).reshape(h, w), mask)
 
 
 class TestRotate:
+    @settings(max_examples=300, deadline=None)
+    @given(img=masked_images(), angle=st.sampled_from(
+        (0.0, -0.0, 90.0, -90.0, 180.0, 270.0, 360.0, 1e6, -1e6))
+        | st.floats(-720.0, 720.0))
+    def test_matches_affine_warp_reference(self, img, angle):
+        c = ((img.width - 1) / 2.0, (img.height - 1) / 2.0)
+        try:
+            expected = warp_affine(img, rotation_matrix(angle, *c))
+        except ValueError:  # no output pixel keeps its support
+            with pytest.raises(ValueError, match="at least one pixel"):
+                rotate(img, angle)
+            return
+        out = rotate(img, angle)
+        assert np.array_equal(out.mask, expected.mask)
+        assert np.array_equal(out.pixels.view(np.int64),
+                              expected.pixels.view(np.int64))
+
     def test_zero_angle_identity(self):
         img = Image(np.arange(9.0).reshape(3, 3))
         out = rotate(img, 0.0)
         assert np.array_equal(out.pixels, img.pixels)
         assert out.mask.all()
+
+    def test_zero_angle_keeps_mask(self):
+        img = Image(np.arange(9.0).reshape(3, 3),
+                    np.arange(9).reshape(3, 3) % 2 == 0)
+        out = rotate(img, 0.0)
+        assert np.array_equal(out.mask, img.mask)
+        assert np.array_equal(out.pixels[out.mask], img.pixels[out.mask])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angle_raises(self, angle):
+        with pytest.raises(ValueError, match="angle_deg must be finite"):
+            rotate(Image(np.ones((3, 3))), angle)
 
     def test_full_turn_near_identity(self):
         rng = np.random.default_rng(6)

@@ -120,6 +120,34 @@ def affine_invariance_error(maps, size, keep, crop, seed):
     return np.abs(correlation_matrix(moved, crop).values - base).max()
 
 
+class TestTableValidation:
+    @pytest.mark.parametrize("table", [CorrelationMatrix, ProbabilityTable])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, table, bad):
+        values = np.eye(3)
+        values[0, 2] = values[2, 0] = bad
+        with pytest.raises(ValueError, match=r"entry \(0, 2\) must be finite"):
+            table(values)
+
+    @pytest.mark.parametrize("table", [CorrelationMatrix, ProbabilityTable])
+    @pytest.mark.parametrize("values, message", [
+        (np.eye(2)[:1], "square"),
+        (np.eye(1), "square"),
+        (np.array([[1.0, 0.5], [0.4, 1.0]]), "symmetric"),
+        (np.array([[1.0, 0.5], [0.5, 0.9]]), "diagonal"),
+        (np.array([[1.0, 1.5], [1.5, 1.0]]), "lie in"),
+    ])
+    def test_malformed_table_rejected(self, table, values, message):
+        with pytest.raises(ValueError, match=message):
+            table(values)
+
+    def test_ranges_differ(self):
+        values = np.array([[1.0, -0.5], [-0.5, 1.0]])
+        assert CorrelationMatrix(values).n == 2
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            ProbabilityTable(values)
+
+
 class TestToProbability:
     def test_endpoints_and_midpoint(self):
         c = CorrelationMatrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))

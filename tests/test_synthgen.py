@@ -15,6 +15,14 @@ class TestSpecValidation:
         {"noise_sigma": -0.1},
         {"noise_sigma": float("nan")},
         {"noise_sigma": float("inf")},
+        {"orientation_deg": float("inf")},
+        {"orientation_deg": float("nan")},
+        {"half_length": float("nan")},
+        {"half_length": float("-inf")},
+        {"width_sigma": float("nan")},
+        {"width_sigma": float("inf")},
+        {"amplitude": float("inf")},
+        {"background": float("nan")},
     ])
     def test_invalid_specs(self, kwargs):
         with pytest.raises(ValueError):
