@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -175,7 +176,7 @@ def cmd_matrix(args):
 def cmd_sequence(args):
     table = load_probability_csv(args.matrix)
     plan = greedy_sequence(table, args.start, args.length)
-    _write_json(args.plan, plan.to_json_dict())
+    _write_json(args.plan, asdict(plan))
 
     if args.images:
         sources = [str(p) for p in sorted(Path(args.images).glob("*.pgm"))]
@@ -271,9 +272,8 @@ def main(argv=None) -> int:
         return 1
     try:
         params, outputs = args.func(args)
-        manifest = getattr(args, "manifest", None) or (
-            str(outputs[-1]) + ".manifest.json")
-        _write_manifest(manifest, args.command, params, outputs)
+        _write_manifest(str(outputs[-1]) + ".manifest.json", args.command,
+                        params, outputs)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,9 @@ class Image:
 
     pixels is a (height, width) float64 array, row-major, x = column and
     y = row with the origin at the top-left; pixel centers sit at integer
-    coordinates. mask, when present, flags valid pixels in the same layout.
+    coordinates. mask is a boolean array in the same layout that flags the
+    valid pixels; a mask of None at construction means all pixels are valid.
+    Invalid pixels hold 0.
     """
 
     pixels: np.ndarray
@@ -34,12 +36,14 @@ class Image:
             raise ValueError("pixels must be a non-empty 2-D array")
         if not np.isfinite(self.pixels).all():
             raise ValueError("pixels must be finite")
-        if self.mask is not None:
-            self.mask = np.asarray(self.mask, dtype=bool)
-            if self.mask.shape != self.pixels.shape:
-                raise ValueError("mask shape must match pixels")
-            if not self.mask.any():
-                raise ValueError("mask must keep at least one pixel")
+        if self.mask is None:
+            self.mask = np.ones(self.pixels.shape, dtype=bool)
+        self.mask = np.asarray(self.mask, dtype=bool)
+        if self.mask.shape != self.pixels.shape:
+            raise ValueError("mask shape must match pixels")
+        if not self.mask.any():
+            raise ValueError("mask must keep at least one pixel")
+        self.pixels = np.where(self.mask, self.pixels, 0.0)
 
     @property
     def width(self) -> int:
@@ -48,12 +52,6 @@ class Image:
     @property
     def height(self) -> int:
         return self.pixels.shape[0]
-
-    def valid(self) -> np.ndarray:
-        """Boolean validity array; all-True when no mask is attached."""
-        if self.mask is None:
-            return np.ones(self.pixels.shape, dtype=bool)
-        return self.mask
 
 
 def _read_pgm_header(data: bytes):
@@ -112,8 +110,7 @@ def save_pgm(img: Image, path) -> None:
     Rounding is half-up. A constant image writes all zeros; masked-out pixels
     write 0.
     """
-    valid = img.valid()
-    vals = img.pixels[valid]
+    vals = img.pixels[img.mask]
     lo, hi = vals.min(), vals.max()
     if hi > lo:
         scaled = (img.pixels - lo) * (255.0 / (hi - lo))
@@ -121,7 +118,7 @@ def save_pgm(img: Image, path) -> None:
     else:
         bytes_ = np.zeros(img.pixels.shape, dtype=np.int64)
     bytes_ = np.clip(bytes_, 0, 255)
-    bytes_[~valid] = 0
+    bytes_[~img.mask] = 0
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
     Path(path).write_bytes(header + bytes_.astype(np.uint8).tobytes())
 
@@ -129,26 +126,22 @@ def save_pgm(img: Image, path) -> None:
 def normalize(img: Image) -> Image:
     """Shift and scale valid pixels to zero mean and unit population std.
 
-    Masked-out pixels are set to 0 and the mask is preserved. A (near-)constant
+    Masked-out pixels stay 0 and the mask is preserved. A (near-)constant
     valid region has no usable variance and raises DegenerateImageError.
     """
-    valid = img.valid()
-    vals = img.pixels[valid]
+    vals = img.pixels[img.mask]
     mean = vals.mean()
     sigma = vals.std()  # population std
     if sigma <= 1e-12 * max(1.0, abs(mean)):
         raise DegenerateImageError("zero variance over valid pixels")
-    out = (img.pixels - mean) / sigma
-    if img.mask is not None:
-        out[~img.mask] = 0.0
-    return Image(out, None if img.mask is None else img.mask.copy())
+    return Image((img.pixels - mean) / sigma, img.mask.copy())
 
 
 def circular_crop(img: Image, cx: float, cy: float, radius: float) -> Image:
     """Crop to the bounding square of the disc and mask pixels outside it.
 
     The mask keeps pixel centers with (x - cx)^2 + (y - cy)^2 <= radius^2,
-    intersected with the input mask when one is present.
+    intersected with the input mask.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -161,11 +154,10 @@ def circular_crop(img: Image, cx: float, cy: float, radius: float) -> Image:
     sub = img.pixels[y0:y1 + 1, x0:x1 + 1]
     ys, xs = np.mgrid[y0:y1 + 1, x0:x1 + 1]
     mask = (xs - cx) ** 2 + (ys - cy) ** 2 <= radius ** 2
-    if img.mask is not None:
-        mask &= img.mask[y0:y1 + 1, x0:x1 + 1]
+    mask &= img.mask[y0:y1 + 1, x0:x1 + 1]
     if not mask.any():
         raise ValueError("disc entirely outside image")
-    return Image(np.where(mask, sub, 0.0), mask)
+    return Image(sub, mask)
 
 
 def center_crop(img: Image, size: int) -> Image:
@@ -175,29 +167,28 @@ def center_crop(img: Image, size: int) -> Image:
                          f"{img.width}x{img.height} image")
     x0 = (img.width - size) // 2
     y0 = (img.height - size) // 2
-    pixels = img.pixels[y0:y0 + size, x0:x0 + size].copy()
-    mask = None if img.mask is None else img.mask[y0:y0 + size, x0:x0 + size].copy()
-    return Image(pixels, mask)
+    return Image(img.pixels[y0:y0 + size, x0:x0 + size],
+                 img.mask[y0:y0 + size, x0:x0 + size].copy())
 
 
-def bilinear_sample(pixels: np.ndarray, mask: np.ndarray | None,
+def bilinear_sample(pixels: np.ndarray, mask: np.ndarray,
                     xs: np.ndarray, ys: np.ndarray):
     """Bilinear sampling at float coordinates with validity tracking.
 
-    A sample is valid only if every tap with nonzero weight lies in bounds and,
-    when a mask is given, is masked-in. The image is read through a border of
-    invalid zero pixels, one wide on the left and top and two on the right
-    and bottom, and each coordinate is clamped once to [-1, w] and [-1, h]:
+    A sample is valid only if every tap with nonzero weight lies in bounds and
+    is masked-in. The image is read through a border of invalid zero pixels,
+    one wide on the left and top and two on the right and bottom, and each
+    coordinate is clamped once to [-1, w] and [-1, h]:
     every tap then lands inside the padded image, and a sample out of range
     reads a border tap with nonzero weight. Infinite coordinates clamp to the
     border and NaN ones to -1, so they come out invalid too. Returns
-    (values, valid); values at invalid samples are unspecified and must be
-    replaced by the caller.
+    (values, valid); values at invalid samples are unspecified, and the
+    Image and PolarImage constructors set them to 0.
     """
     h, w = pixels.shape
     border = ((1, 2), (1, 2))
     taps = np.pad(pixels, border).ravel()
-    ok = np.pad(np.ones((h, w), bool) if mask is None else mask, border).ravel()
+    ok = np.pad(mask, border).ravel()
     x = np.fmin(np.fmax(xs, -1.0), w)  # fmax takes -1 over NaN
     y = np.fmin(np.fmax(ys, -1.0), h)
     x0 = np.floor(x)
@@ -243,5 +234,4 @@ def rotate(img: Image, angle_deg: float) -> Image:
     ys, xs = np.mgrid[0:img.height, 0:img.width].astype(np.float64)
     sx = minv[0, 0] * xs + minv[0, 1] * ys + minv[0, 2]
     sy = minv[1, 0] * xs + minv[1, 1] * ys + minv[1, 2]
-    values, valid = bilinear_sample(img.pixels, img.mask, sx, sy)
-    return Image(np.where(valid, values, 0.0), valid)
+    return Image(*bilinear_sample(img.pixels, img.mask, sx, sy))

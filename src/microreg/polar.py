@@ -13,8 +13,9 @@ class PolarImage:
     """S x R polar grid, angle-major: values[i, j] samples angle i, radius j.
 
     Angle step is 360/S degrees; radii are linearly spaced with a half-step
-    offset, r_j = (j + 0.5) * max_radius / R. valid flags samples whose
-    bilinear support stayed in bounds and masked-in.
+    offset, r_j = (j + 0.5) * max_radius / R. valid is a boolean array of
+    the same shape that flags samples whose bilinear support stayed in bounds
+    and masked-in. Invalid samples hold 0.
     """
 
     values: np.ndarray
@@ -30,7 +31,8 @@ class PolarImage:
             raise ValueError("valid shape must match values")
         if self.max_radius <= 0:
             raise ValueError("max_radius must be positive")
-        if not np.isfinite(self.values[self.valid]).all():
+        self.values = np.where(self.valid, self.values, 0.0)
+        if not np.isfinite(self.values).all():
             raise ValueError("values must be finite at valid samples")
 
     @property
@@ -72,7 +74,7 @@ def to_polar(img: Image, cx: float, cy: float,
     values, valid = bilinear_sample(img.pixels, img.mask, xs, ys)
     if not valid.any():
         raise ValueError("no valid polar samples; check center and max_radius")
-    return PolarImage(np.where(valid, values, 0.0), valid, max_radius)
+    return PolarImage(values, valid, max_radius)
 
 
 def cyclic_shift(p: PolarImage, k: int) -> PolarImage:

@@ -67,13 +67,6 @@ class SequencePlan:
     step_probs: list[float]
     log_chain_prob: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "frames": list(self.frames),
-            "step_probs": list(self.step_probs),
-            "log_chain_prob": self.log_chain_prob,
-        }
-
 
 @dataclass
 class MonotonicityViolation:
@@ -82,11 +75,6 @@ class MonotonicityViolation:
     position: int      # index into frames of the earlier (offending) frame
     expected_ge: float  # probability the earlier frame must not exceed
     actual: float       # probability observed for the earlier frame
-
-    def to_json_dict(self) -> dict:
-        return {"position": self.position,
-                "expected_ge": self.expected_ge,
-                "actual": self.actual}
 
 
 def correlation_matrix(images: list[Image], crop_size: int) -> CorrelationMatrix:
@@ -112,9 +100,8 @@ def correlation_matrix(images: list[Image], crop_size: int) -> CorrelationMatrix
         if idx == 0:  # center_crop has vetted crop_size by now
             v = np.empty((m, crop.pixels.size))
             a = np.empty_like(v)
-        valid = crop.valid()
-        v[idx] = valid.ravel()
-        a[idx] = _centered(crop.pixels, valid).ravel()
+        v[idx] = crop.mask.ravel()
+        a[idx] = _centered(crop.pixels, crop.mask).ravel()
     i, j = np.triu_indices(m, 1)
     n = (v @ v.T)[i, j]
     sab = (a @ a.T)[i, j]
@@ -123,7 +110,7 @@ def correlation_matrix(images: list[Image], crop_size: int) -> CorrelationMatrix
 
     def exact(t):
         ci, cj = (center_crop(images[k], crop_size) for k in (i[t], j[t]))
-        both = ci.valid() & cj.valid()
+        both = ci.mask & cj.mask
         return ncc(ci.pixels[both], cj.pixels[both])
 
     upper = _masked_ncc(n, sums[i, j], sums[j, i], sqsums[i, j], sqsums[j, i],

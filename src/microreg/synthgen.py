@@ -39,10 +39,18 @@ class FilamentSpec:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if not self.half_length < self.size / 2:
-            raise ValueError("half_length must be < size/2")
+        if not 0 <= self.half_length < self.size / 2:
+            raise ValueError(f"half_length must lie in [0, size/2), "
+                             f"got {self.half_length!r}")
         if self.width_sigma <= 0:
             raise ValueError("width_sigma must be positive")
+        if not 0 < 2.0 * self.width_sigma * self.width_sigma < math.inf:
+            raise ValueError(f"width_sigma {self.width_sigma!r} is out of "
+                             "range: 2 * width_sigma**2 must be finite and > 0")
+        # the profile lies in [0, 1], so the pixels lie between these two
+        if not math.isfinite(self.background + self.amplitude):
+            raise ValueError(f"background + amplitude must be finite, got "
+                             f"{self.background!r} + {self.amplitude!r}")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
 
@@ -64,10 +72,16 @@ def synth_filament(spec: FilamentSpec) -> Image:
     t = np.clip((xs - c) * ux + (ys - c) * uy,
                 -spec.half_length, spec.half_length)
     d2 = (xs - c - t * ux) ** 2 + (ys - c - t * uy) ** 2
-    pixels = spec.background + spec.amplitude * np.exp(
-        -d2 / (2.0 * spec.width_sigma ** 2))
-    if spec.noise_sigma > 0:
-        rng = np.random.Generator(np.random.PCG64(spec.seed))
-        pixels = pixels + spec.noise_sigma * rng.standard_normal(
-            (spec.size, spec.size))
+    # an exponent beyond float range is a weight of exactly 0; noise that
+    # overflows is rejected by name below
+    with np.errstate(over="ignore"):
+        pixels = spec.background + spec.amplitude * np.exp(
+            -d2 / (2.0 * spec.width_sigma ** 2))
+        if spec.noise_sigma > 0:
+            rng = np.random.Generator(np.random.PCG64(spec.seed))
+            pixels = pixels + spec.noise_sigma * rng.standard_normal(
+                (spec.size, spec.size))
+    if not np.isfinite(pixels).all():
+        raise ValueError(f"noise_sigma {spec.noise_sigma!r} is too large: "
+                         "noisy pixels must be finite")
     return Image(pixels)

@@ -123,6 +123,10 @@ class TestNonFiniteParameters:
         (["--width-sigma", "inf"], "width_sigma"),
         (["--amplitude", "inf"], "amplitude"),
         (["--background", "nan"], "background"),
+        (["--width-sigma", "1e300"], "width_sigma"),
+        (["--width-sigma", "1e-300"], "width_sigma"),
+        (["--amplitude", "1e308", "--background", "1e308"], "background"),
+        (["--noise", "1e308"], "noise_sigma"),
     ])
     def test_synth(self, tmp_path, capsys, extra, name):
         out = tmp_path / "a.pgm"

@@ -15,6 +15,31 @@ def write_pgm_bytes(path, header, payload):
     path.write_bytes(header + payload)
 
 
+@st.composite
+def pixels_and_masks(draw):
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    pixels = draw(st.lists(st.floats(-1e3, 1e3) | st.just(-0.0),
+                           min_size=h * w, max_size=h * w))
+    mask = draw(st.none() | st.lists(
+        st.booleans(), min_size=h * w, max_size=h * w).filter(any).map(
+        lambda m: np.array(m).reshape(h, w)))
+    return np.array(pixels).reshape(h, w), mask
+
+
+class TestImage:
+    @settings(max_examples=200, deadline=None)
+    @given(case=pixels_and_masks())
+    def test_mask_is_an_array_and_invalid_pixels_are_zero(self, case):
+        pixels, mask = case
+        img = Image(pixels, mask)
+        assert img.mask.dtype == bool and img.mask.shape == pixels.shape
+        keep = np.ones(pixels.shape, dtype=bool) if mask is None else mask
+        assert np.array_equal(img.mask, keep)
+        assert np.array_equal(img.pixels[keep].view(np.int64),
+                              pixels[keep].view(np.int64))
+        assert not img.pixels[~keep].view(np.int64).any()  # +0.0 bits
+
+
 class TestLoadPgm:
     def test_raw_byte_mapping(self, tmp_path):
         p = tmp_path / "a.pgm"
@@ -22,7 +47,7 @@ class TestLoadPgm:
         img = load_pgm(p)
         assert img.width == 2 and img.height == 2
         assert img.pixels.tolist() == [[0, 128], [255, 64]]
-        assert img.mask is None
+        assert img.mask.all()
 
     def test_comment_in_header(self, tmp_path):
         p = tmp_path / "a.pgm"
@@ -265,7 +290,7 @@ def sampling_cases(draw):
     pixel = st.floats(-1e3, 1e3) | st.sampled_from((-0.0, -1.0))
     pixels = np.array(draw(st.lists(pixel, min_size=h * w,
                                     max_size=h * w))).reshape(h, w)
-    mask = draw(st.none() | st.lists(
+    mask = draw(st.just(np.ones((h, w), dtype=bool)) | st.lists(
         st.booleans(), min_size=h * w, max_size=h * w).map(
         lambda m: np.array(m).reshape(h, w)))
     n = draw(st.integers(1, 16))
@@ -289,12 +314,12 @@ class TestBilinearSample:
         pixels = np.arange(12.0).reshape(3, 4)
         xs = np.array([np.nan, np.inf, -np.inf, 1.0, 1.0, 1.0, 1e300, 1.5])
         ys = np.array([1.0, 1.0, 1.0, np.nan, np.inf, -np.inf, -1e300, 1.0])
-        for mask in (None, np.ones(pixels.shape, dtype=bool)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                values, valid = bilinear_sample(pixels, mask, xs, ys)
-            assert valid.tolist() == [False] * 7 + [True]
-            assert values[-1] == 5.5
+        mask = np.ones(pixels.shape, dtype=bool)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, valid = bilinear_sample(pixels, mask, xs, ys)
+        assert valid.tolist() == [False] * 7 + [True]
+        assert values[-1] == 5.5
 
 
 def rotate90_oracle(pixels):

@@ -1,9 +1,38 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microreg import (FilamentSpec, Image, cyclic_shift, normalize, rotate,
                       synth_filament, to_polar)
 from microreg.polar import PolarImage, polar_to_csv
+
+
+@st.composite
+def grids_with_validity(draw):
+    s, r = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    cells = s * r
+    kept = draw(st.lists(st.floats(-1e3, 1e3) | st.just(-0.0),
+                         min_size=cells, max_size=cells))
+    dropped = draw(st.lists(st.floats(), min_size=cells, max_size=cells))
+    valid = np.array(draw(st.lists(st.booleans(), min_size=cells,
+                                   max_size=cells))).reshape(s, r)
+    values = np.where(valid, np.reshape(kept, (s, r)),
+                      np.reshape(dropped, (s, r)))
+    return values, valid
+
+
+class TestPolarImage:
+    @settings(max_examples=200, deadline=None)
+    @given(case=grids_with_validity())
+    def test_invalid_samples_are_zero(self, case):
+        values, valid = case
+        p = PolarImage(values, valid, 1.0)
+        assert p.valid.dtype == bool and p.valid.shape == values.shape
+        assert np.array_equal(p.valid, valid)
+        assert np.array_equal(p.values[valid].view(np.int64),
+                              values[valid].view(np.int64))
+        assert not p.values[~valid].view(np.int64).any()  # +0.0 bits
 
 
 class TestToPolar:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -56,13 +57,13 @@ class TestCorrelationMatrix:
                 ((0.0, 0.0), (10.0, 12.0), (40.0, 30.0), (75.0, 57.0),
                  (120.0, 100.0), (170.0, 200.0))]
         crops = [center_crop(normalize(img), 56) for img in imgs]
-        assert len({crop.valid().tobytes() for crop in crops}) == len(crops)
+        assert len({crop.mask.tobytes() for crop in crops}) == len(crops)
         c = correlation_matrix(imgs, crop_size=56)
         for i in range(len(imgs)):
             assert c.values[i, i] == 1.0
             for j in range(len(imgs)):
                 if i != j:
-                    both = crops[i].valid() & crops[j].valid()
+                    both = crops[i].mask & crops[j].mask
                     expected = ncc(crops[i].pixels[both], crops[j].pixels[both])
                     assert abs(c.values[i, j] - expected) <= 1e-12
 
@@ -244,8 +245,8 @@ class TestCheckMonotonicity:
         assert v.position == 0
         assert v.actual == pytest.approx(0.7)
         assert v.expected_ge == pytest.approx(0.6)
-        assert v.to_json_dict() == {"position": 0, "expected_ge": 0.6,
-                                    "actual": 0.7}
+        assert asdict(v) == {"position": 0, "expected_ge": 0.6,
+                             "actual": 0.7}
 
     def test_too_few_frames(self, table1):
         with pytest.raises(ValueError, match="at least 2"):

@@ -23,6 +23,7 @@ class TestSpecValidation:
         {"width_sigma": float("inf")},
         {"amplitude": float("inf")},
         {"background": float("nan")},
+        {"half_length": -5.0},
     ])
     def test_invalid_specs(self, kwargs):
         with pytest.raises(ValueError):
