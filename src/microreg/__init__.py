@@ -7,8 +7,9 @@ from .image import (Image, DegenerateImageError, PgmFormatError, center_crop,
                     rotation_matrix, save_pgm)
 from .polar import PolarImage, cyclic_shift, polar_to_csv, to_polar
 from .correlation import (DegenerateOverlapError, NccCurve, OpCounts,
-                          RotationEstimate, estimate_rotation,
-                          estimate_rotation_pruned, ncc, rotation_score_curve)
+                          Reference, RotationEstimate, estimate_rotation,
+                          estimate_rotation_pruned, ncc, prepare_reference,
+                          rotation_score_curve)
 from .sequencer import (CorrelationMatrix, MonotonicityViolation,
                         ProbabilityTable, SequencePlan, chain_probability,
                         check_monotonicity, correlation_matrix,

@@ -13,8 +13,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .correlation import (_unit_grid, estimate_rotation,
-                          estimate_rotation_pruned)
+from .correlation import (estimate_rotation, estimate_rotation_pruned,
+                          prepare_reference)
 # circular_crop and normalize stay imported: bench/tracing.py wraps them here
 from .image import (Image, center_crop, circular_crop,  # noqa: F401
                     load_pgm, normalize, rotate, save_pgm)
@@ -57,17 +57,21 @@ def _about(path):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def prepare_polar(img: Image, angular: int, radial: int):
+def prepare_polar(img: Image, angular: int, radial: int,
+                  plans: dict | None = None):
     """Align preprocessing: polar resample of the raw image about its center.
 
     max_radius = min(w, h)/2 - 3 keeps every bilinear tap well inside the
     largest centered disc, so the polar grid comes out fully valid (required
     by --pruned). Nothing is cropped or normalized first: the NCC of the
-    score curve re-centers and re-scales every overlap itself.
+    score curve re-centers and re-scales every overlap itself. The center
+    and radius depend on the frame shape alone, so a command passes one
+    plans dict (see to_polar) and samples each frame shape with one plan.
     """
     cx, cy = (img.width - 1) / 2.0, (img.height - 1) / 2.0
     return to_polar(img, cx, cy, angular, radial,
-                    max_radius=min(img.width, img.height) / 2.0 - 3.0)
+                    max_radius=min(img.width, img.height) / 2.0 - 3.0,
+                    plans=plans)
 
 
 def cmd_synth(args):
@@ -107,14 +111,16 @@ def cmd_align(args):
     out_report = Path(args.report) if args.report else cand_path.with_name(
         cand_path.stem + "_report.json")
 
+    plans = {}  # a same-shaped ref and candidate share one sampling plan
     with _about(args.ref):
-        ref_p = prepare_polar(load_pgm(args.ref), args.angular, args.radial)
-        _unit_grid(ref_p)  # a flat reference fails here, not at a candidate
+        # a flat reference fails here, not at a candidate
+        ref = prepare_reference(prepare_polar(
+            load_pgm(args.ref), args.angular, args.radial, plans))
     with _about(args.cand):
         cand_img = load_pgm(args.cand)
-        cand_p = prepare_polar(cand_img, args.angular, args.radial)
+        cand_p = prepare_polar(cand_img, args.angular, args.radial, plans)
         search = estimate_rotation_pruned if args.pruned else estimate_rotation
-        est = search(ref_p, cand_p)
+        est = search(ref, cand_p)
 
     save_pgm(rotate(cand_img, -est.angle_deg), out_image)
     with open(out_curve, "w", encoding="ascii", newline="\n") as f:
@@ -140,9 +146,11 @@ def cmd_matrix(args):
     if len(paths) < 2:
         raise ValueError(f"need at least 2 PGM files in {in_dir}")
     ref_path = Path(args.ref) if args.ref else paths[0]
+    plans = {}  # one sampling plan per frame shape, for this call only
     with _about(ref_path):
-        ref_p = prepare_polar(load_pgm(ref_path), args.angular, args.radial)
-        _unit_grid(ref_p)  # a flat reference fails here, not at a candidate
+        # a flat reference fails here, not at a candidate
+        ref = prepare_reference(prepare_polar(
+            load_pgm(ref_path), args.angular, args.radial, plans))
 
     aligned_dir = Path(args.aligned_dir)
     aligned_dir.mkdir(parents=True, exist_ok=True)
@@ -152,8 +160,8 @@ def cmd_matrix(args):
         with _about(path):
             aligned = load_pgm(path)
             if path != ref_path:
-                est = estimate_rotation(
-                    ref_p, prepare_polar(aligned, args.angular, args.radial))
+                est = estimate_rotation(ref, prepare_polar(
+                    aligned, args.angular, args.radial, plans))
                 aligned = rotate(aligned, -est.angle_deg)
             crops.append(center_crop(aligned, args.crop))
         out = aligned_dir / path.name
@@ -235,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pruned", action="store_true",
                    help="bounded search by successive elimination: "
                         "reproduces the paper's op-count claim (criterion 4); "
-                        "faster than the exhaustive FFT curve on noiseless "
+                        "no faster than the exhaustive FFT curve on noiseless "
                         "scenes, slower on noisy ones")
     p.set_defaults(func=cmd_align)
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +76,10 @@ def _masked_ncc(n, sa, sb, saa, sbb, sab, where, exact):
     """NCC of each entry of 1-D arrays of sums over masked overlaps.
 
     n is the overlap size, sa and sb the sums of each side, saa and sbb their
-    sums of squares, sab the sum of products. where(i) names entry i in the
-    error raised when an overlap has fewer than 2 samples or no variance.
+    sums of squares, sab the sum of products. n and sab are arrays; a sum
+    that is the same for every entry may be a scalar, which broadcasts.
+    where(i) names entry i in the error raised when an overlap has fewer
+    than 2 samples or no variance.
     exact(i) is the two-pass ncc of entry i's overlap. It replaces entries
     whose one-pass variances are ill-conditioned: saa - sa^2/n cancels when an
     overlap's mean is far from zero against its spread, and its relative error
@@ -148,12 +151,66 @@ def _unit_grid(p: PolarImage) -> np.ndarray:
     return a / np.sqrt(energy)
 
 
+class Reference(NamedTuple):
+    """A reference grid prepared once to score many candidates against.
+
+    unit is the grid's _unit_grid and spectrum the conjugate rfft of unit
+    along the angle axis.
+    """
+
+    grid: PolarImage
+    unit: np.ndarray
+    spectrum: np.ndarray
+
+
+def prepare_reference(ref: PolarImage) -> Reference:
+    """Center, scale and transform a reference grid once.
+
+    A grid whose valid samples have no variance raises
+    DegenerateOverlapError, before any candidate is scored.
+    """
+    unit = _unit_grid(ref)
+    return Reference(ref, unit, np.fft.rfft(unit, axis=0).conj())
+
+
+def _grid(ref: PolarImage | Reference) -> PolarImage:
+    return ref.grid if isinstance(ref, Reference) else ref
+
+
 def _polar_layers(p: PolarImage) -> np.ndarray:
     a = _centered(p.values, p.valid)
     return np.stack([p.valid.astype(np.float64), a, a * a])
 
 
-def rotation_score_curve(ref: PolarImage, cand: PolarImage) -> NccCurve:
+def _overlap_sums(ref: PolarImage, cand: PolarImage):
+    """Per-shift (n, sr, sc, srr, scc, src) over the mutual valid overlaps:
+    six circular cross-correlations along the angle axis, summed over the
+    radii, each one product of rfft spectra and one irfft."""
+    s = ref.angular_samples
+    fr = np.fft.rfft(_polar_layers(ref), axis=1).conj()
+    fc = np.fft.rfft(_polar_layers(cand), axis=1)
+    # (ref layer, cand layer) for n, sr, sc, srr, scc, src
+    pairs = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
+    spectra = np.stack([np.einsum("kj,kj->k", fr[a], fc[b]) for a, b in pairs])
+    n, sr, sc, srr, scc, src = np.fft.irfft(spectra, n=s, axis=1)
+    return np.rint(n), sr, sc, srr, scc, src
+
+
+def _full_sums(ref: Reference, cand: PolarImage):
+    """The same sums when both grids are fully valid. Every overlap is then
+    the whole grid, so only src varies with the shift: n = S R, sr = sc = 0
+    after centering, srr = 1 for the unit reference grid, and scc is the
+    candidate's energy. The candidate is centered but not scaled, so a flat
+    one reaches the degeneracy rules of _masked_ncc."""
+    s = ref.grid.angular_samples
+    b = _centered(cand.values, cand.valid)
+    fc = np.fft.rfft(b, axis=0)
+    src = np.fft.irfft(np.einsum("kj,kj->k", ref.spectrum, fc), n=s)
+    return np.full(s, float(b.size)), 0.0, 0.0, 1.0, np.vdot(b, b), src
+
+
+def rotation_score_curve(ref: PolarImage | Reference,
+                         cand: PolarImage) -> NccCurve:
     """NCC against every cyclic shift of the candidate.
 
     scores[k] pairs ref angle row i with candidate angle row (i + k) mod S,
@@ -163,41 +220,45 @@ def rotation_score_curve(ref: PolarImage, cand: PolarImage) -> NccCurve:
     sums are circular cross-correlations along the angle axis, summed over the
     radii: each comes from one product of rfft spectra and one irfft (the
     masked NCC of Padfield, IEEE TIP 2012), O(S R log S) for the whole curve.
-    The rare shift whose overlap is too ill-conditioned for one-pass sums is
-    recomputed with the two-pass ncc over the rolled candidate.
+    When both grids are fully valid, five of the sums are constants and the
+    curve takes one spectrum per candidate against the reference's, which a
+    Reference from prepare_reference keeps across calls. The rare shift whose
+    overlap is too ill-conditioned for one-pass sums is recomputed with the
+    two-pass ncc over the rolled candidate.
     """
-    _check_grids(ref, cand)
-    s = ref.angular_samples
-    fr = np.fft.rfft(_polar_layers(ref), axis=1).conj()
-    fc = np.fft.rfft(_polar_layers(cand), axis=1)
-    # (ref layer, cand layer) for n, sr, sc, srr, scc, src
-    pairs = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
-    spectra = np.stack([np.einsum("kj,kj->k", fr[a], fc[b]) for a, b in pairs])
-    n, sr, sc, srr, scc, src = np.fft.irfft(spectra, n=s, axis=1)
-    n = np.rint(n)
+    grid = _grid(ref)
+    _check_grids(grid, cand)
+    if grid.valid.all() and cand.valid.all():
+        if not isinstance(ref, Reference):
+            ref = prepare_reference(ref)
+        sums = _full_sums(ref, cand)
+    else:
+        sums = _overlap_sums(grid, cand)
 
     def exact(k):
         rolled = cyclic_shift(cand, -k)
-        both = ref.valid & rolled.valid
-        return ncc(ref.values[both], rolled.values[both])
+        both = grid.valid & rolled.valid
+        return ncc(grid.values[both], rolled.values[both])
 
-    scores = _masked_ncc(n, sr, sc, srr, scc, src, "shift {}".format, exact)
-    return NccCurve(scores, n.astype(np.int64))
+    scores = _masked_ncc(*sums, "shift {}".format, exact)
+    return NccCurve(scores, sums[0].astype(np.int64))
 
 
-def estimate_rotation(ref: PolarImage, cand: PolarImage) -> RotationEstimate:
+def estimate_rotation(ref: PolarImage | Reference,
+                      cand: PolarImage) -> RotationEstimate:
     """Best rotation angle: smallest shift attaining the maximum NCC."""
     curve = rotation_score_curve(ref, cand)
     shift = int(np.argmax(curve.scores))
     return RotationEstimate(
         shift=shift,
-        angle_deg=shift * ref.angular_step_deg,
+        angle_deg=shift * cand.angular_step_deg,
         peak_ncc=float(curve.scores[shift]),
         curve=curve,
     )
 
 
-def estimate_rotation_pruned(ref: PolarImage, cand: PolarImage) -> RotationEstimate:
+def estimate_rotation_pruned(ref: PolarImage | Reference,
+                             cand: PolarImage) -> RotationEstimate:
     """Rotation estimate by successive elimination with Cauchy-Schwarz bounds.
 
     Requires fully valid grids, so centering each grid once and scaling it to
@@ -212,12 +273,13 @@ def estimate_rotation_pruned(ref: PolarImage, cand: PolarImage) -> RotationEstim
     dropped shifts hold the bound at the row they were dropped, not the exact
     score.
     """
-    _check_grids(ref, cand)
-    if not (ref.valid.all() and cand.valid.all()):
+    grid = _grid(ref)
+    _check_grids(grid, cand)
+    if not (grid.valid.all() and cand.valid.all()):
         raise ValueError("pruned search requires fully valid polar grids")
-    s = ref.angular_samples
-    r = ref.radial_samples
-    a = _unit_grid(ref)
+    s = grid.angular_samples
+    r = grid.radial_samples
+    a = ref.unit if isinstance(ref, Reference) else _unit_grid(ref)
     # row k + t of the doubled candidate is row (k + t) mod S, the one that
     # shift k pairs with ref row t
     b = np.tile(_unit_grid(cand), (2, 1))
@@ -256,7 +318,7 @@ def estimate_rotation_pruned(ref: PolarImage, cand: PolarImage) -> RotationEstim
     shift = int(np.argmax(np.where(finished, curve.scores, -np.inf)))
     return RotationEstimate(
         shift=shift,
-        angle_deg=shift * ref.angular_step_deg,
+        angle_deg=shift * cand.angular_step_deg,
         peak_ncc=float(curve.scores[shift]),
         curve=curve,
         op_counts=OpCounts(evaluated=evaluated, exhaustive=s * s * r),

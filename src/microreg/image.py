@@ -4,12 +4,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 
 class PgmFormatError(ValueError):
-    """Raised when a file cannot be parsed as binary 8-bit P5 PGM."""
+    """Raised when a file cannot be parsed as binary P5 PGM."""
 
 
 class DegenerateImageError(ValueError):
@@ -86,22 +87,31 @@ def _read_pgm_header(data: bytes):
     width, height, maxval = (int(t) for t in tokens[1:4])
     if width < 1 or height < 1:
         raise PgmFormatError("malformed header: non-positive dimensions")
-    if maxval != 255:
-        raise PgmFormatError(f"unsupported maxval {maxval}, expected 255")
+    if not 1 <= maxval <= 65535:
+        raise PgmFormatError(
+            f"unsupported maxval {maxval}, expected 1 to 65535")
     # exactly one whitespace byte separates the maxval from the payload
     return width, height, maxval, pos + 1
 
 
 def load_pgm(path) -> Image:
-    """Read a binary 8-bit PGM file into an Image with values in [0, 255]."""
+    """Read a binary PGM file into an Image with values in [0, maxval].
+
+    maxval may be 1 to 65535: samples are one byte below 256 and two
+    big-endian bytes from 256 on. A sample above maxval is an error.
+    """
     data = Path(path).read_bytes()
-    width, height, _, offset = _read_pgm_header(data)
-    payload = data[offset:offset + width * height]
-    if len(payload) < width * height:
+    width, height, maxval, offset = _read_pgm_header(data)
+    dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+    size = width * height * dtype.itemsize
+    payload = data[offset:offset + size]
+    if len(payload) < size:
         raise PgmFormatError(
-            f"truncated payload: expected {width * height} bytes, got {len(payload)}")
-    pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
-    return Image(pixels.reshape(height, width))
+            f"truncated payload: expected {size} bytes, got {len(payload)}")
+    samples = np.frombuffer(payload, dtype=dtype)
+    if maxval not in (255, 65535) and samples.max() > maxval:
+        raise PgmFormatError(f"sample {samples.max()} above maxval {maxval}")
+    return Image(samples.astype(np.float64).reshape(height, width))
 
 
 def save_pgm(img: Image, path) -> None:
@@ -113,7 +123,12 @@ def save_pgm(img: Image, path) -> None:
     vals = img.pixels[img.mask]
     lo, hi = vals.min(), vals.max()
     if hi > lo:
-        scaled = (img.pixels - lo) * (255.0 / (hi - lo))
+        # scaling by a power of two is exact and brings the larger magnitude
+        # into [0.5, 1): hi - lo can then neither overflow nor leave the
+        # normal range, and the bytes of any span that fits are unchanged
+        _, e = np.frexp(max(abs(lo), abs(hi)))
+        pixels, lo, hi = (np.ldexp(v, -e) for v in (img.pixels, lo, hi))
+        scaled = (pixels - lo) * (255.0 / (hi - lo))
         bytes_ = np.floor(scaled + 0.5).astype(np.int64)
     else:
         bytes_ = np.zeros(img.pixels.shape, dtype=np.int64)
@@ -171,6 +186,81 @@ def center_crop(img: Image, size: int) -> Image:
                  img.mask[y0:y0 + size, x0:x0 + size].copy())
 
 
+class SamplingPlan(NamedTuple):
+    """Where bilinear sampling reads for fixed coordinates on one image shape.
+
+    base is the flat index of each sample's top-left tap in the image padded
+    as bilinear_sample describes, fx and fy the fractions that weight its four
+    taps, and valid the validity an all-True mask gives. Pixel values and
+    masks do not enter the plan, so one plan serves every image of its shape.
+    """
+
+    shape: tuple[int, int]
+    base: np.ndarray
+    fx: np.ndarray
+    fy: np.ndarray
+    valid: np.ndarray
+
+
+def _padded(a: np.ndarray) -> np.ndarray:
+    # the border of bilinear_sample, flattened: zeros read as invalid taps
+    h, w = a.shape
+    out = np.zeros((h + 3, w + 3), dtype=a.dtype)
+    out[1:h + 1, 1:w + 1] = a
+    return out.ravel()
+
+
+def _taps(shape, fx, fy):
+    """Yield (flat offset, weight) of the four taps, in summation order."""
+    gx, gy = 1 - fx, 1 - fy
+    row = shape[1] + 3
+    yield 0, gx * gy
+    yield 1, fx * gy
+    yield row, gx * fy
+    yield row + 1, fx * fy
+
+
+def _validity(mask, base, taps):
+    # valid where every tap with nonzero weight is masked-in
+    ok = _padded(mask)
+    valid = np.ones(base.shape, dtype=bool)
+    for offset, wt in taps:
+        valid &= ok[offset:][base] | (wt == 0)
+    return valid
+
+
+def sampling_plan(shape, xs: np.ndarray, ys: np.ndarray) -> SamplingPlan:
+    """Plan bilinear samples at float coordinates on an image of this shape."""
+    h, w = shape
+    x = np.fmin(np.fmax(xs, -1.0), w)  # fmax takes -1 over NaN
+    y = np.fmin(np.fmax(ys, -1.0), h)
+    x0 = np.floor(x)
+    y0 = np.floor(y)
+    fx = x - x0
+    fy = y - y0
+    base = ((y0 + 1) * (w + 3) + x0 + 1).astype(np.intp)
+    valid = _validity(np.ones(shape, dtype=bool), base, _taps(shape, fx, fy))
+    return SamplingPlan((h, w), base, fx, fy, valid)
+
+
+def apply_plan(plan: SamplingPlan, pixels: np.ndarray, mask: np.ndarray):
+    """Sample pixels at the plan's coordinates: (values, valid) as in
+    bilinear_sample. An all-True mask takes the plan's validity; any other
+    mask has its own computed."""
+    if pixels.shape != plan.shape:
+        raise ValueError(f"image shape {pixels.shape} does not match the "
+                         f"sampling plan's {plan.shape}")
+    flat = _padded(pixels)
+    values = np.zeros(plan.base.shape, dtype=np.float64)
+    for offset, wt in _taps(plan.shape, plan.fx, plan.fy):
+        wt *= flat[offset:][plan.base]
+        values += wt
+    if mask.all():
+        return values, plan.valid.copy()
+    return values, _validity(mask, plan.base,
+                             _taps(plan.shape, plan.fx, plan.fy))
+
+
 def bilinear_sample(pixels: np.ndarray, mask: np.ndarray,
                     xs: np.ndarray, ys: np.ndarray):
     """Bilinear sampling at float coordinates with validity tracking.
@@ -183,27 +273,11 @@ def bilinear_sample(pixels: np.ndarray, mask: np.ndarray,
     reads a border tap with nonzero weight. Infinite coordinates clamp to the
     border and NaN ones to -1, so they come out invalid too. Returns
     (values, valid); values at invalid samples are unspecified, and the
-    Image and PolarImage constructors set them to 0.
+    Image and PolarImage constructors set them to 0. This is sampling_plan,
+    then apply_plan; callers that sample many images of one shape at the
+    same coordinates keep the plan.
     """
-    h, w = pixels.shape
-    border = ((1, 2), (1, 2))
-    taps = np.pad(pixels, border).ravel()
-    ok = np.pad(mask, border).ravel()
-    x = np.fmin(np.fmax(xs, -1.0), w)  # fmax takes -1 over NaN
-    y = np.fmin(np.fmax(ys, -1.0), h)
-    x0 = np.floor(x)
-    y0 = np.floor(y)
-    fx = x - x0
-    fy = y - y0
-    base = ((y0 + 1) * (w + 3) + x0 + 1).astype(np.intp)
-    values = np.zeros(xs.shape, dtype=np.float64)
-    valid = np.ones(xs.shape, dtype=bool)
-    for offset, wt in ((0, (1 - fx) * (1 - fy)), (1, fx * (1 - fy)),
-                       (w + 3, (1 - fx) * fy), (w + 4, fx * fy)):
-        i = base + offset
-        values += taps[i] * wt
-        valid &= ok[i] | (wt == 0)
-    return values, valid
+    return apply_plan(sampling_plan(pixels.shape, xs, ys), pixels, mask)
 
 
 def rotation_matrix(angle_deg: float, cx: float, cy: float) -> np.ndarray:

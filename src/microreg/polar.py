@@ -5,7 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import Image, bilinear_sample
+# bilinear_sample stays imported: bench/tracing.py wraps it here
+from .image import (Image, apply_plan, bilinear_sample,  # noqa: F401
+                    sampling_plan)
 
 
 @dataclass
@@ -48,16 +50,27 @@ class PolarImage:
         return 360.0 / self.angular_samples
 
 
+def _polar_plan(shape, cx, cy, angular_samples, radial_samples, max_radius):
+    thetas = np.deg2rad(np.arange(angular_samples) * (360.0 / angular_samples))
+    radii = (np.arange(radial_samples) + 0.5) * (max_radius / radial_samples)
+    xs = cx + radii[None, :] * np.cos(thetas)[:, None]
+    ys = cy + radii[None, :] * np.sin(thetas)[:, None]
+    return sampling_plan(shape, xs, ys)
+
+
 def to_polar(img: Image, cx: float, cy: float,
              angular_samples: int = 720, radial_samples: int = 200,
-             max_radius: float | None = None) -> PolarImage:
+             max_radius: float | None = None,
+             plans: dict | None = None) -> PolarImage:
     """Resample an image onto an (angle, radius) grid around (cx, cy).
 
     Sample (i, j) is taken at (cx + r_j cos t_i, cy + r_j sin t_i) with
     t_i = i * (360/S) degrees. Defaults follow the operating grid of 720
     angles (0.5 degree steps) by 200 radii; max_radius defaults to
     min(width, height)/2 - 1. A center or max_radius that is not finite
-    raises ValueError.
+    raises ValueError. plans, if given, is a dict that keeps the bilinear
+    sampling plan of each (image shape, center, grid) it has seen: pass one
+    dict to resample many images and each geometry is planned once.
     """
     if angular_samples < 1 or radial_samples < 1:
         raise ValueError("angular_samples and radial_samples must be >= 1")
@@ -67,11 +80,12 @@ def to_polar(img: Image, cx: float, cy: float,
         raise ValueError(f"center ({cx}, {cy}) must be finite")
     if not 0 < max_radius < np.inf:  # NaN fails both tests
         raise ValueError(f"max_radius must be finite and > 0, got {max_radius}")
-    thetas = np.deg2rad(np.arange(angular_samples) * (360.0 / angular_samples))
-    radii = (np.arange(radial_samples) + 0.5) * (max_radius / radial_samples)
-    xs = cx + radii[None, :] * np.cos(thetas)[:, None]
-    ys = cy + radii[None, :] * np.sin(thetas)[:, None]
-    values, valid = bilinear_sample(img.pixels, img.mask, xs, ys)
+    key = (img.pixels.shape, cx, cy, angular_samples, radial_samples,
+           max_radius)
+    plans = {} if plans is None else plans
+    if key not in plans:
+        plans[key] = _polar_plan(*key)
+    values, valid = apply_plan(plans[key], img.pixels, img.mask)
     if not valid.any():
         raise ValueError("no valid polar samples; check center and max_radius")
     return PolarImage(values, valid, max_radius)
@@ -88,7 +102,8 @@ def cyclic_shift(p: PolarImage, k: int) -> PolarImage:
 def polar_to_csv(p: PolarImage, path) -> None:
     """Write S rows x R columns of samples; invalid samples as empty cells."""
     with open(path, "w", encoding="ascii", newline="\n") as f:
-        for i in range(p.angular_samples):
-            cells = [repr(float(p.values[i, j])) if p.valid[i, j] else ""
-                     for j in range(p.radial_samples)]
+        for values, valid in zip(p.values.tolist(), p.valid.tolist()):
+            cells = map(repr, values)
+            if not all(valid):
+                cells = (c if ok else "" for c, ok in zip(cells, valid))
             f.write(",".join(cells) + "\n")

@@ -137,6 +137,38 @@ class TestNonFiniteParameters:
         assert err.startswith(f"error: {name} "), err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_synth_span_beyond_float_range(self, tmp_path):
+        # the valid pixels span more than the largest float: save_pgm must
+        # rescale without forming hi - lo
+        out = tmp_path / "a.pgm"
+        rc = main(["synth", "--size", "32", "--half-length", "8",
+                   "--amplitude", "1.7e308", "--background=-8.5e307",
+                   "--noise", "1e307", "--out", str(out)])
+        assert rc == 0
+        payload = out.read_bytes()[len(b"P5\n32 32\n255\n"):]
+        assert len(payload) == 32 * 32
+        assert min(payload) == 0 and max(payload) == 255
+
+
+class TestPolarCommand:
+    def test_sixteen_bit_input(self, tmp_path):
+        # samples times 256 in 16 bits: every polar value scales exactly
+        src8 = tmp_path / "a8.pgm"
+        make_scene_pgm(src8, size=32)
+        samples = np.frombuffer(src8.read_bytes()[-32 * 32:], np.uint8)
+        src16 = tmp_path / "a16.pgm"
+        wide = (samples.astype(np.uint16) << 8).astype(">u2")
+        src16.write_bytes(b"P5\n32 32\n65535\n" + wide.tobytes())
+        grids = []
+        for src in (src8, src16):
+            out = tmp_path / (src.stem + ".csv")
+            rc = main(["polar", "--input", str(src), "--out", str(out),
+                       "--angular", "24", "--radial", "8"])
+            assert rc == 0
+            grids.append(np.loadtxt(out, delimiter=","))
+        assert np.array_equal(grids[1], grids[0] * 256)
+
 
 class TestAlignCommand:
     def run_align(self, tmp_path, extra=()):
@@ -278,6 +310,32 @@ class TestMatrixCommand:
         assert rc == 2
         assert_one_line_error(capsys, "crop size 999")
         assert not list(aligned.glob("*.pgm"))
+
+    def test_mixed_frame_sizes_match_single_aligns(self, tmp_path):
+        # one sampling plan per frame shape: each aligned frame is what
+        # align gives for that frame alone
+        inputs = tmp_path / "frames"
+        inputs.mkdir()
+        for i, (angle, size) in enumerate(((0.0, 64), (25.0, 80), (300.0, 64),
+                                           (140.0, 72), (60.0, 80))):
+            make_scene_pgm(inputs / f"f{i}.pgm", angle=angle, size=size)
+        grid = ["--angular", "120", "--radial", "24"]
+        rc = main(["matrix", "--inputs", str(inputs), "--crop", "32", *grid,
+                   "--aligned-dir", str(tmp_path / "aligned"),
+                   "--matrix-out", str(tmp_path / "m.csv"),
+                   "--prob-out", str(tmp_path / "p.csv")])
+        assert rc == 0
+        for i in range(1, 5):
+            alone = tmp_path / f"alone{i}.pgm"
+            rc = main(["align", "--ref", str(inputs / "f0.pgm"),
+                       "--cand", str(inputs / f"f{i}.pgm"), *grid,
+                       "--out", str(alone),
+                       "--curve", str(tmp_path / f"c{i}.csv"),
+                       "--report", str(tmp_path / f"r{i}.json")])
+            assert rc == 0
+            aligned = (tmp_path / "aligned" / f"f{i}.pgm").read_bytes()
+            assert aligned == alone.read_bytes()
+        assert load_square_csv(tmp_path / "m.csv").shape == (5, 5)
 
     def test_too_few_inputs(self, tmp_path):
         inputs = tmp_path / "frames"

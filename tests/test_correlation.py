@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microreg import (DegenerateOverlapError, cyclic_shift, estimate_rotation,
-                      estimate_rotation_pruned, ncc, rotate,
-                      rotation_score_curve)
+                      estimate_rotation_pruned, ncc, prepare_reference,
+                      rotate, rotation_score_curve)
+from microreg.correlation import _masked_ncc, _overlap_sums
 from microreg.polar import PolarImage
 
 from conftest import asym_scene, dyadic, exact_affine, polar_pipeline
@@ -194,6 +195,85 @@ class TestScoreCurveOracle:
         curve = rotation_score_curve(*moved)
         assert np.abs(curve.scores - base.scores).max() <= 1e-12
         assert np.array_equal(curve.sample_counts, base.sample_counts)
+
+
+def six_spectrum_scores(ref, cand):
+    """The masked-overlap curve, forced on grids of any validity."""
+    return _masked_ncc(*_overlap_sums(ref, cand), "shift {}".format,
+                       lambda k: brute_force_curve(ref, cand)[k])
+
+
+class TestOneSpectrumCurve:
+    @settings(max_examples=150, deadline=None)
+    @given(s=st.integers(2, 64), r=st.integers(1, 24),
+           offsets=st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
+           scale_exps=st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
+           kind=st.sampled_from(["random", "shifted"]), k=st.integers(0, 63),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_six_spectrum_curve_on_full_grids(
+            self, s, r, offsets, scale_exps, kind, k, seed):
+        rng = np.random.default_rng(seed)
+        full = np.ones((s, r), dtype=bool)
+        values = [offset + 10 ** e * rng.standard_normal((s, r))
+                  for offset, e in zip(offsets, scale_exps)]
+        if kind == "shifted":
+            values[1] = (np.roll(values[0], k, axis=0) * 10 ** scale_exps[1]
+                         + 0.1 * rng.standard_normal((s, r)))
+        ref, cand = (PolarImage(v, full, float(r)) for v in values)
+        expected = six_spectrum_scores(ref, cand)
+        for reference in (ref, prepare_reference(ref)):
+            curve = rotation_score_curve(reference, cand)
+            assert np.abs(curve.scores - expected).max() <= 1e-12
+            assert np.argmax(curve.scores) == np.argmax(expected)
+            assert np.array_equal(curve.sample_counts, np.full(s, s * r))
+
+    @pytest.mark.parametrize("i", range(len(ANGLES)))
+    def test_matches_six_spectrum_curve_on_paper_grid_scenes(self, i):
+        ref = polar_pipeline(asym_scene(noise_sigma=0.3, seed=500 + i),
+                             720, 200)
+        cand = polar_pipeline(rotate(asym_scene(noise_sigma=0.3, seed=600 + i),
+                                     ANGLES[i]), 720, 200)
+        scores = rotation_score_curve(ref, cand).scores
+        expected = six_spectrum_scores(ref, cand)
+        assert np.abs(scores - expected).max() <= 1e-12
+        assert np.argmax(scores) == np.argmax(expected)
+
+    def test_prepared_reference_gives_the_same_estimate(self):
+        rng = np.random.default_rng(15)
+        ref = full_grid(rng, 40, 12)
+        prepared = prepare_reference(ref)
+        for _ in range(5):
+            cand = full_grid(rng, 40, 12)
+            est = estimate_rotation(prepared, cand)
+            plain = estimate_rotation(ref, cand)
+            assert est.shift == plain.shift
+            assert est.peak_ncc == plain.peak_ncc
+            assert np.array_equal(est.curve.scores, plain.curve.scores)
+            pruned = estimate_rotation_pruned(prepared, cand)
+            plain = estimate_rotation_pruned(ref, cand)
+            assert (pruned.shift, pruned.peak_ncc, pruned.op_counts) == (
+                plain.shift, plain.peak_ncc, plain.op_counts)
+            assert np.array_equal(pruned.curve.scores, plain.curve.scores)
+
+    def test_masked_candidate_against_prepared_reference(self):
+        # a prepared reference still scores masked candidates over overlaps
+        rng = np.random.default_rng(16)
+        ref = full_grid(rng)
+        cand = masked_grid(rng)
+        scores = rotation_score_curve(prepare_reference(ref), cand).scores
+        assert np.abs(scores - brute_force_curve(ref, cand)).max() <= 1e-12
+
+    def test_flat_reference_fails_when_prepared(self):
+        flat = PolarImage(np.full((8, 4), 3.0), np.ones((8, 4), bool), 4.0)
+        with pytest.raises(DegenerateOverlapError, match="zero variance"):
+            prepare_reference(flat)
+
+    def test_flat_candidate_reports_shift(self):
+        rng = np.random.default_rng(17)
+        flat = PolarImage(np.full((8, 4), 3.0), np.ones((8, 4), bool), 4.0)
+        with pytest.raises(DegenerateOverlapError,
+                           match="zero variance overlap at shift 0"):
+            rotation_score_curve(prepare_reference(full_grid(rng, 8, 4)), flat)
 
 
 class TestEstimateRotation:

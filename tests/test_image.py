@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from microreg import (DegenerateImageError, Image, PgmFormatError, center_crop,
                       circular_crop, load_pgm, normalize, rotate,
                       rotation_matrix, save_pgm)
-from microreg.image import bilinear_sample
+from microreg.image import apply_plan, bilinear_sample, sampling_plan
 
 
 def write_pgm_bytes(path, header, payload):
@@ -67,10 +67,50 @@ class TestLoadPgm:
             load_pgm(p)
 
     def test_wrong_maxval(self, tmp_path):
+        # 1 to 65535 are valid PGM maxvals; 0 and anything above are not
         p = tmp_path / "a.pgm"
-        write_pgm_bytes(p, b"P5 2 2 100\n", bytes([0, 1, 2, 3]))
-        with pytest.raises(PgmFormatError, match="maxval"):
+        for maxval in (b"0", b"65536", b"100000"):
+            write_pgm_bytes(p, b"P5 2 2 " + maxval + b"\n", bytes(8))
+            with pytest.raises(PgmFormatError, match="maxval"):
+                load_pgm(p)
+
+    @pytest.mark.parametrize("maxval, payload", [
+        (100, bytes([0, 1, 101, 3])),
+        (300, bytes([0, 0, 1, 45, 0, 2, 0, 3])),  # 0x012d = 301
+    ])
+    def test_sample_above_maxval_rejected(self, tmp_path, maxval, payload):
+        p = tmp_path / "a.pgm"
+        write_pgm_bytes(p, b"P5 2 2 %d\n" % maxval, payload)
+        with pytest.raises(PgmFormatError, match=f"above maxval {maxval}"):
             load_pgm(p)
+
+    def test_sixteen_bit_samples_are_big_endian(self, tmp_path):
+        p = tmp_path / "a.pgm"
+        write_pgm_bytes(p, b"P5 2 2 65535\n",
+                        bytes([0, 1, 1, 0, 255, 255, 0x12, 0x34]))
+        assert load_pgm(p).pixels.tolist() == [[1, 256], [65535, 0x1234]]
+
+    def test_truncated_sixteen_bit_payload(self, tmp_path):
+        p = tmp_path / "a.pgm"
+        write_pgm_bytes(p, b"P5 2 2 1000\n", bytes(7))
+        with pytest.raises(PgmFormatError, match="expected 8 bytes, got 7"):
+            load_pgm(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(maxval=st.integers(1, 65535), height=st.integers(1, 9),
+           width=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    def test_round_trip_over_maxval_and_shape(self, tmp_path_factory, maxval,
+                                              height, width, seed):
+        rng = np.random.default_rng(seed)
+        samples = rng.integers(0, maxval, size=(height, width),
+                               endpoint=True)
+        dtype = ">u1" if maxval < 256 else ">u2"
+        p = tmp_path_factory.getbasetemp() / "maxval.pgm"
+        write_pgm_bytes(p, b"P5\n%d %d\n%d\n" % (width, height, maxval),
+                        samples.astype(dtype).tobytes())
+        img = load_pgm(p)
+        assert img.mask.all()
+        assert np.array_equal(img.pixels, samples)
 
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "a.pgm"
@@ -138,6 +178,37 @@ class TestSavePgm:
         save_pgm(Image(pixels), p)
         save_pgm(load_pgm(p), tmp_path / "b.pgm")
         assert (tmp_path / "b.pgm").read_bytes() == p.read_bytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_span_beyond_float_range(self, tmp_path):
+        # hi - lo overflows: the span is rescaled without forming it
+        p = tmp_path / "a.pgm"
+        save_pgm(Image(np.array([[-1.7e308, 0.0, 1.7e308]])), p)
+        assert self.payload(p) == bytes([0, 128, 255])
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_span(self, tmp_path):
+        # 255 / (hi - lo) overflows for a span this small
+        p = tmp_path / "a.pgm"
+        save_pgm(Image(np.array([[0.0, 5e-324, 1e-310]])), p)
+        assert self.payload(p) == bytes([0, 0, 255])
+
+    @settings(max_examples=200, deadline=None)
+    @given(pixels=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=40),
+           scale_exp=st.integers(-300, 300))
+    def test_bytes_match_direct_rescale(self, tmp_path_factory, pixels,
+                                        scale_exp):
+        # where (p - lo) * (255 / (hi - lo)) stays in the normal range, the
+        # power-of-two rescale changes no byte
+        pixels = np.array(pixels) * 2.0 ** scale_exp
+        lo, hi = pixels.min(), pixels.max()
+        if not hi - lo > 1e-290:
+            return
+        scaled = (pixels - lo) * (255.0 / (hi - lo))
+        expected = np.clip(np.floor(scaled + 0.5), 0, 255).astype(np.uint8)
+        p = tmp_path_factory.getbasetemp() / "rescale.pgm"
+        save_pgm(Image(pixels[None, :]), p)
+        assert self.payload(p) == expected.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(height=st.integers(1, 12), width=st.integers(2, 12),
@@ -309,6 +380,30 @@ class TestBilinearSample:
         assert np.array_equal(valid, expected_valid)
         assert np.array_equal(values[valid].view(np.int64),
                               expected[valid].view(np.int64))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=sampling_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_one_plan_serves_every_image_of_its_shape(self, case, seed):
+        # a plan holds no pixel or mask: the full-mask frame takes the plan's
+        # validity, and a masked frame of the same shape its own
+        pixels, mask, xs, ys = case
+        plan = sampling_plan(pixels.shape, xs, ys)
+        other = np.random.default_rng(seed).uniform(-1e3, 1e3, pixels.shape)
+        full = np.ones(pixels.shape, dtype=bool)
+        for frame, frame_mask in ((pixels, mask), (other, full),
+                                  (pixels, full), (other, mask)):
+            with np.errstate(invalid="ignore", over="ignore"):
+                expected, expected_valid = per_tap_bilinear_sample(
+                    frame, frame_mask, xs, ys)
+            values, valid = apply_plan(plan, frame, frame_mask)
+            assert np.array_equal(valid, expected_valid)
+            assert np.array_equal(values[valid].view(np.int64),
+                                  expected[valid].view(np.int64))
+
+    def test_plan_rejects_another_shape(self):
+        plan = sampling_plan((3, 4), np.array([1.0]), np.array([1.0]))
+        with pytest.raises(ValueError, match="does not match"):
+            apply_plan(plan, np.zeros((4, 3)), np.ones((4, 3), dtype=bool))
 
     def test_non_finite_coordinates_are_invalid_without_warnings(self):
         pixels = np.arange(12.0).reshape(3, 4)

@@ -140,3 +140,49 @@ def test_polar_csv_export(tmp_path):
     polar_to_csv(PolarImage(values, valid, 2.0), out)
     lines = out.read_text().splitlines()
     assert lines == ["1.0,2.0", "3.0,", "5.0,6.0"]
+
+
+def per_cell_csv(p):
+    """Reference writer: one repr per valid cell, an empty cell elsewhere."""
+    return "".join(",".join(repr(float(p.values[i, j])) if p.valid[i, j]
+                            else "" for j in range(p.radial_samples)) + "\n"
+                   for i in range(p.angular_samples))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=grids_with_validity())
+def test_polar_csv_matches_per_cell_writer(tmp_path_factory, case):
+    p = PolarImage(*case, 1.0)
+    out = tmp_path_factory.getbasetemp() / "cells.csv"
+    polar_to_csv(p, out)
+    assert out.read_bytes() == per_cell_csv(p).encode("ascii")
+
+
+def test_shared_plans_match_fresh_sampling():
+    # one dict serves several shapes, each with its own plan
+    rng = np.random.default_rng(2)
+    plans = {}
+    for shape in ((21, 21), (15, 24), (21, 21), (15, 24)):
+        img = Image(rng.normal(size=shape))
+        cx, cy = (shape[1] - 1) / 2.0, (shape[0] - 1) / 2.0
+        shared = to_polar(img, cx, cy, 16, 6, max_radius=6.0, plans=plans)
+        fresh = to_polar(img, cx, cy, 16, 6, max_radius=6.0)
+        assert np.array_equal(shared.values, fresh.values)
+        assert np.array_equal(shared.valid, fresh.valid)
+    assert len(plans) == 2
+
+
+def test_shared_plan_takes_each_frame_mask():
+    plans = {}
+    img = Image(np.arange(121.0).reshape(11, 11))
+    full = to_polar(img, 5.0, 5.0, 8, 4, max_radius=4.0, plans=plans)
+    mask = np.ones((11, 11), dtype=bool)
+    mask[5, 6:] = False  # the ray at angle 0
+    masked = to_polar(Image(img.pixels, mask), 5.0, 5.0, 8, 4,
+                      max_radius=4.0, plans=plans)
+    fresh = to_polar(Image(img.pixels, mask), 5.0, 5.0, 8, 4, max_radius=4.0)
+    assert len(plans) == 1
+    assert full.valid.all()
+    assert not masked.valid[0].any()
+    assert np.array_equal(masked.valid, fresh.valid)
+    assert np.array_equal(masked.values, fresh.values)
