@@ -190,15 +190,17 @@ class SamplingPlan(NamedTuple):
     """Where bilinear sampling reads for fixed coordinates on one image shape.
 
     base is the flat index of each sample's top-left tap in the image padded
-    as bilinear_sample describes, fx and fy the fractions that weight its four
-    taps, and valid the validity an all-True mask gives. Pixel values and
-    masks do not enter the plan, so one plan serves every image of its shape.
+    as bilinear_sample describes, weights the (4, ...) tap weights in
+    summation order (top-left, top-right, bottom-left, bottom-right), and
+    valid the validity an all-True mask gives, which follows from bounds
+    alone: every tap with nonzero weight lies inside the image. Pixel values
+    and masks do not enter the plan, so one plan serves every image of its
+    shape.
     """
 
     shape: tuple[int, int]
     base: np.ndarray
-    fx: np.ndarray
-    fy: np.ndarray
+    weights: np.ndarray
     valid: np.ndarray
 
 
@@ -210,55 +212,80 @@ def _padded(a: np.ndarray) -> np.ndarray:
     return out.ravel()
 
 
-def _taps(shape, fx, fy):
-    """Yield (flat offset, weight) of the four taps, in summation order."""
-    gx, gy = 1 - fx, 1 - fy
+def _offsets(shape):
+    """Flat offsets of the four taps from base, in summation order."""
     row = shape[1] + 3
-    yield 0, gx * gy
-    yield 1, fx * gy
-    yield row, gx * fy
-    yield row + 1, fx * fy
+    return 0, 1, row, row + 1
 
 
-def _validity(mask, base, taps):
+def _validity(mask, plan):
     # valid where every tap with nonzero weight is masked-in
     ok = _padded(mask)
-    valid = np.ones(base.shape, dtype=bool)
-    for offset, wt in taps:
-        valid &= ok[offset:][base] | (wt == 0)
+    valid = np.ones(plan.base.shape, dtype=bool)
+    for offset, wt in zip(_offsets(plan.shape), plan.weights):
+        valid &= ok[offset:][plan.base] | (wt == 0)
     return valid
 
 
 def sampling_plan(shape, xs: np.ndarray, ys: np.ndarray) -> SamplingPlan:
     """Plan bilinear samples at float coordinates on an image of this shape."""
     h, w = shape
-    x = np.fmin(np.fmax(xs, -1.0), w)  # fmax takes -1 over NaN
-    y = np.fmin(np.fmax(ys, -1.0), h)
-    x0 = np.floor(x)
-    y0 = np.floor(y)
-    fx = x - x0
-    fy = y - y0
-    base = ((y0 + 1) * (w + 3) + x0 + 1).astype(np.intp)
-    valid = _validity(np.ones(shape, dtype=bool), base, _taps(shape, fx, fy))
-    return SamplingPlan((h, w), base, fx, fy, valid)
+    fx = np.fmax(xs, -1.0)  # fmax takes -1 over NaN
+    fy = np.fmax(ys, -1.0)
+    np.fmin(fx, w, out=fx)
+    np.fmin(fy, h, out=fy)
+    x0 = np.floor(fx)
+    y0 = np.floor(fy)
+    fx -= x0
+    fy -= y0
+    # tap (dx, dy) lies in the image iff x0 + dx is in [0, w - 1] and
+    # y0 + dy in [0, h - 1]; the clamp keeps x0 >= -1 and y0 >= -1
+    in_x = ((x0 >= 0) & (x0 <= w - 1), x0 <= w - 2)
+    in_y = ((y0 >= 0) & (y0 <= h - 1), y0 <= h - 2)
+    y0 += 1
+    y0 *= w + 3
+    y0 += x0
+    y0 += 1
+    base = y0.astype(np.intp)
+    del x0, y0
+    # gx*gy, fx*gy, gx*fy, fx*fy with gx = 1 - fx and gy = 1 - fy, made in
+    # the weights themselves (a product is the same either way round). One
+    # block rather than four arrays: once glibc frees a block this large it
+    # keeps more freed heap for reuse, so later arrays skip fresh page
+    # faults; that is faster per frame, at some resident memory.
+    weights = np.empty((4,) + base.shape)
+    gy = np.subtract(1, fy, out=weights[1])
+    gx = np.subtract(1, fx, out=weights[2])
+    np.multiply(gx, gy, out=weights[0])
+    gy *= fx
+    gx *= fy
+    np.multiply(fx, fy, out=weights[3])
+    valid = np.ones(base.shape, dtype=bool)
+    for (dx, dy), wt in zip(((0, 0), (1, 0), (0, 1), (1, 1)), weights):
+        # a weight of 0 (a subnormal fraction can round one to 0) reads no tap
+        valid &= (in_x[dx] & in_y[dy]) | (wt == 0)
+    return SamplingPlan((h, w), base, weights, valid)
 
 
 def apply_plan(plan: SamplingPlan, pixels: np.ndarray, mask: np.ndarray):
     """Sample pixels at the plan's coordinates: (values, valid) as in
-    bilinear_sample. An all-True mask takes the plan's validity; any other
-    mask has its own computed."""
+    bilinear_sample. An all-True mask takes a copy of the plan's validity;
+    any other mask has its own computed."""
     if pixels.shape != plan.shape:
         raise ValueError(f"image shape {pixels.shape} does not match the "
                          f"sampling plan's {plan.shape}")
     flat = _padded(pixels)
-    values = np.zeros(plan.base.shape, dtype=np.float64)
-    for offset, wt in _taps(plan.shape, plan.fx, plan.fy):
-        wt *= flat[offset:][plan.base]
-        values += wt
+    values = np.zeros(plan.base.shape)  # the sum starts at +0.0
+    tap = np.empty(plan.base.shape)
+    for offset, wt in zip(_offsets(plan.shape), plan.weights):
+        # the clamp keeps every index in range; mode="clip" only spares the
+        # buffered copy of out that take makes under mode="raise"
+        flat[offset:].take(plan.base, out=tap, mode="clip")
+        tap *= wt
+        values += tap
     if mask.all():
         return values, plan.valid.copy()
-    return values, _validity(mask, plan.base,
-                             _taps(plan.shape, plan.fx, plan.fy))
+    return values, _validity(mask, plan)
 
 
 def bilinear_sample(pixels: np.ndarray, mask: np.ndarray,
@@ -274,8 +301,11 @@ def bilinear_sample(pixels: np.ndarray, mask: np.ndarray,
     border and NaN ones to -1, so they come out invalid too. Returns
     (values, valid); values at invalid samples are unspecified, and the
     Image and PolarImage constructors set them to 0. This is sampling_plan,
-    then apply_plan; callers that sample many images of one shape at the
-    same coordinates keep the plan.
+    then apply_plan. The plan holds each sample's base index, its four tap
+    weights and the validity an all-True mask gives, found from the taps'
+    bounds; apply_plan gathers and weights the taps, and checks a mask that
+    is not all True tap by tap. Callers that sample many images of one
+    shape at the same coordinates keep the plan.
     """
     return apply_plan(sampling_plan(pixels.shape, xs, ys), pixels, mask)
 
@@ -305,7 +335,10 @@ def rotate(img: Image, angle_deg: float) -> Image:
     """
     m = rotation_matrix(angle_deg, (img.width - 1) / 2.0, (img.height - 1) / 2.0)
     minv = np.linalg.inv(m)  # not R(-angle): that differs in the last ulp
-    ys, xs = np.mgrid[0:img.height, 0:img.width].astype(np.float64)
-    sx = minv[0, 0] * xs + minv[0, 1] * ys + minv[0, 2]
-    sy = minv[1, 0] * xs + minv[1, 1] * ys + minv[1, 2]
+    xs = np.arange(img.width, dtype=np.float64)
+    ys = np.arange(img.height, dtype=np.float64)[:, None]
+    sx = minv[0, 0] * xs + minv[0, 1] * ys
+    sx += minv[0, 2]
+    sy = minv[1, 0] * xs + minv[1, 1] * ys
+    sy += minv[1, 2]
     return Image(*bilinear_sample(img.pixels, img.mask, sx, sy))

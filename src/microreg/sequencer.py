@@ -1,7 +1,7 @@
 """Pairwise center-crop correlation, probability scaling, and frame sequencing."""
 from __future__ import annotations
 
-import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -199,28 +199,43 @@ def check_monotonicity(p: ProbabilityTable,
 
 
 def matrix_to_csv(values: np.ndarray, path) -> None:
-    """Write a square matrix as CSV with a header row of column indices."""
+    """Write a square matrix as CSV with a header row of column indices.
+
+    Each entry is its shortest round-trip repr, so load_square_csv reads
+    back the same bits.
+    """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
     with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write(",".join(str(i) for i in range(n)) + "\n")
-        for row in values:
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+        f.write(",".join(map(str, range(n))) + "\n")
+        for row in values.tolist():
+            f.write(",".join(map(repr, row)) + "\n")
 
 
 def load_square_csv(path) -> np.ndarray:
-    """Read a square matrix CSV written by matrix_to_csv (header row of indices)."""
-    with open(path, "r", encoding="ascii", newline="") as f:
-        rows = [row for row in csv.reader(f) if row]
-    if len(rows) < 2:
+    """Read a square matrix CSV written by matrix_to_csv (header row of indices).
+
+    The header's cells are counted, not read, and blank lines are skipped.
+    np.loadtxt parses the entries; with comments=None a '#' in a cell is an
+    error, not the start of a comment.
+    """
+    with open(path, "r", encoding="ascii") as f:
+        header, _, body = f.read().lstrip("\n").partition("\n")
+    if not body.strip("\n"):
         raise ValueError(f"{path}: empty matrix CSV")
-    n = len(rows[0])
-    if len(rows) != n + 1 or any(len(r) != n for r in rows[1:]):
-        raise ValueError(f"{path}: matrix CSV is not square")
+    n = header.count(",") + 1
     try:
-        return np.array([[float(v) for v in r] for r in rows[1:]])
+        values = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2,
+                            comments=None)
     except ValueError:
+        # loadtxt raises the same error for a ragged row and a non-number
+        rows = [row for row in body.split("\n") if row]
+        if len(rows) != n or any(row.count(",") != n - 1 for row in rows):
+            raise ValueError(f"{path}: matrix CSV is not square") from None
         raise ValueError(f"{path}: non-numeric matrix entry") from None
+    if values.shape != (n, n):
+        raise ValueError(f"{path}: matrix CSV is not square")
+    return values
 
 
 def load_probability_csv(path) -> ProbabilityTable:

@@ -2,13 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from microreg import (DegenerateImageError, Image, PgmFormatError, center_crop,
                       circular_crop, load_pgm, normalize, rotate,
                       rotation_matrix, save_pgm)
-from microreg.image import apply_plan, bilinear_sample, sampling_plan
+from microreg.image import (_validity, apply_plan, bilinear_sample,
+                            sampling_plan)
 
 
 def write_pgm_bytes(path, header, payload):
@@ -343,6 +344,10 @@ def per_tap_bilinear_sample(pixels, mask, xs, ys):
 
 # the fraction of -1e-20 rounds to 1.0, which gives its floor taps weight 0
 FAR = (-1e-20, 1e300, -1e300, np.inf, -np.inf, np.nan)
+# w == 1: the subnormal x fraction times 0.5 rounds to 0, so the two
+# right-hand taps, out of bounds, have weight 0 and the sample is valid
+ONE_COLUMN_SUBNORMAL = (np.array([[2.0], [4.0]]), np.ones((2, 1), dtype=bool),
+                        np.array([5e-324]), np.array([0.5]))
 
 
 def coordinates(n):
@@ -373,6 +378,7 @@ def sampling_cases(draw):
 class TestBilinearSample:
     @settings(max_examples=300, deadline=None)
     @given(case=sampling_cases())
+    @example(case=ONE_COLUMN_SUBNORMAL)
     def test_matches_per_tap_reference(self, case):
         with np.errstate(invalid="ignore", over="ignore"):
             expected, expected_valid = per_tap_bilinear_sample(*case)
@@ -415,6 +421,42 @@ class TestBilinearSample:
             values, valid = bilinear_sample(pixels, mask, xs, ys)
         assert valid.tolist() == [False] * 7 + [True]
         assert values[-1] == 5.5
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=sampling_cases())
+    @example(case=ONE_COLUMN_SUBNORMAL)
+    def test_plan_validity_from_bounds_matches_gathered_mask(self, case):
+        pixels, _, xs, ys = case
+        plan = sampling_plan(pixels.shape, xs, ys)
+        full = np.ones(pixels.shape, dtype=bool)
+        assert np.array_equal(plan.valid, _validity(full, plan))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=sampling_cases())
+    def test_every_tap_index_is_inside_the_padded_image(self, case):
+        # take(mode="clip") would silently clamp an index that is not
+        pixels, _, xs, ys = case
+        h, w = pixels.shape
+        plan = sampling_plan(pixels.shape, xs, ys)
+        assert plan.base.min() >= 0
+        assert plan.base.max() + w + 4 < (h + 3) * (w + 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=sampling_cases())
+    def test_apply_leaves_the_plan_unchanged(self, case):
+        # apply_plan weights and sums in place, in buffers of its own
+        pixels, mask, xs, ys = case
+        plan = sampling_plan(pixels.shape, xs, ys)
+        held = (plan.base, plan.weights, plan.valid)
+        before = [a.copy() for a in held]
+        first, first_valid = apply_plan(plan, pixels, mask)
+        second, second_valid = apply_plan(plan, pixels, mask)
+        for a, b in zip(before, held):
+            assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
+        assert np.array_equal(first.view(np.int64), second.view(np.int64))
+        assert np.array_equal(first_valid, second_valid)
+        assert first_valid is not plan.valid
+        assert not np.shares_memory(first_valid, plan.valid)
 
 
 def rotate90_oracle(pixels):

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -253,6 +254,26 @@ class TestCheckMonotonicity:
             check_monotonicity(table1, [0])
 
 
+def per_cell_matrix_to_csv(values, path):
+    """Reference writer: one repr per cell, through a numpy scalar."""
+    values = np.asarray(values, dtype=np.float64)
+    with open(path, "w", encoding="ascii", newline="\n") as f:
+        f.write(",".join(str(i) for i in range(values.shape[0])) + "\n")
+        for row in values:
+            f.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+@st.composite
+def square_floats(draw, **floats):
+    """Square tables of any float, with subnormals, signed zeros and the
+    sums whose shortest repr is long."""
+    n = draw(st.integers(1, 6))
+    cell = st.floats(**floats) | st.sampled_from(
+        (5e-324, -5e-324, 2.2250738585072014e-308, 0.1 + 0.2, -0.0, 0.0))
+    cells = draw(st.lists(cell, min_size=n * n, max_size=n * n))
+    return np.array(cells, dtype=np.float64).reshape(n, n)
+
+
 class TestCsvRoundTrip:
     def test_matrix_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -272,3 +293,42 @@ class TestCsvRoundTrip:
         path.write_text("0,1\n1.0,0.5\n")
         with pytest.raises(ValueError, match="square"):
             load_square_csv(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty matrix CSV"),
+        ("0,1\n", "empty matrix CSV"),
+        ("0,1\n1.0,0.5\n0.5\n", "matrix CSV is not square"),  # ragged
+        ("0,1,2\n1.0,0.5,1.0\n0.5,1.0,1.0\n", "matrix CSV is not square"),
+        ("0,1\n1.0,x\n0.5,1.0\n", "non-numeric matrix entry"),
+        ("0,1\n1.0,0.5#\n0.5,1.0\n", "non-numeric matrix entry"),
+        ("0,1\n1.0,0.5\n#0.5,1.0\n", "non-numeric matrix entry"),
+    ])
+    def test_malformed_table_messages(self, tmp_path, text, message):
+        # '#' starts no comment: it is a non-numeric cell like any other
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        pattern = f"^{re.escape(str(path))}: {message}$"
+        with pytest.raises(ValueError, match=pattern):
+            load_square_csv(path)
+
+    def test_blank_lines_and_crlf_are_read(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\r\n0,1\r\n1.0,0.5\r\n\r\n0.5,1.0\r\n\r\n")
+        assert load_square_csv(path).tolist() == [[1.0, 0.5], [0.5, 1.0]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=square_floats(allow_nan=False, allow_infinity=False))
+    def test_round_trip_is_bitwise(self, tmp_path_factory, a):
+        path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+        matrix_to_csv(a, path)
+        assert np.array_equal(load_square_csv(path).view(np.int64),
+                              a.view(np.int64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=square_floats())
+    def test_writer_matches_per_cell_writer(self, tmp_path_factory, a):
+        base = tmp_path_factory.getbasetemp()
+        matrix_to_csv(a, base / "rows.csv")
+        per_cell_matrix_to_csv(a, base / "cells.csv")
+        assert ((base / "rows.csv").read_bytes()
+                == (base / "cells.csv").read_bytes())
