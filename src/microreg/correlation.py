@@ -138,6 +138,9 @@ def _check_grids(ref: PolarImage, cand: PolarImage):
 def _centered(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
     # valid samples shifted to zero mean, zero elsewhere: NCC ignores the
     # offset, and removing it spares the one-pass variances its cancellation
+    if valid.size and valid.all():
+        # ravel() is C order, as the gather is, so the mean has the same bits
+        return values - values.ravel().mean()
     mean = values[valid].mean() if valid.any() else 0.0
     return np.where(valid, values - mean, 0.0)
 
@@ -148,7 +151,8 @@ def _unit_grid(p: PolarImage) -> np.ndarray:
     energy = np.vdot(a, a)
     if _flat(energy, p.valid.sum(), 0.0):  # centered: the mean is 0
         raise DegenerateOverlapError("zero variance polar grid")
-    return a / np.sqrt(energy)
+    a /= np.sqrt(energy)  # a is _centered's own array
+    return a
 
 
 class Reference(NamedTuple):

@@ -26,6 +26,11 @@ class Image:
     coordinates. mask is a boolean array in the same layout that flags the
     valid pixels; a mask of None at construction means all pixels are valid.
     Invalid pixels hold 0.
+
+    The arrays are taken as np.asarray takes them: a float64 pixels array
+    with an all-True mask is kept as given, not copied, so the Image shares
+    its memory. A mask that is not all True leaves the given array alone
+    and stores a copy with the masked-out pixels set to 0.
     """
 
     pixels: np.ndarray
@@ -44,7 +49,8 @@ class Image:
             raise ValueError("mask shape must match pixels")
         if not self.mask.any():
             raise ValueError("mask must keep at least one pixel")
-        self.pixels = np.where(self.mask, self.pixels, 0.0)
+        if not self.mask.all():  # copy only to zero the masked-out pixels
+            self.pixels = np.where(self.mask, self.pixels, 0.0)
 
     @property
     def width(self) -> int:
@@ -166,7 +172,8 @@ def circular_crop(img: Image, cx: float, cy: float, radius: float) -> Image:
     y1 = min(img.height - 1, math.floor(cy + radius))
     if x0 > x1 or y0 > y1:
         raise ValueError("disc entirely outside image")
-    sub = img.pixels[y0:y1 + 1, x0:x1 + 1]
+    # a copy, so the crop does not keep the whole frame alive
+    sub = img.pixels[y0:y1 + 1, x0:x1 + 1].copy()
     ys, xs = np.mgrid[y0:y1 + 1, x0:x1 + 1]
     mask = (xs - cx) ** 2 + (ys - cy) ** 2 <= radius ** 2
     mask &= img.mask[y0:y1 + 1, x0:x1 + 1]
@@ -182,8 +189,14 @@ def center_crop(img: Image, size: int) -> Image:
                          f"{img.width}x{img.height} image")
     x0 = (img.width - size) // 2
     y0 = (img.height - size) // 2
-    return Image(img.pixels[y0:y0 + size, x0:x0 + size],
+    # copies, so the crop does not keep the whole frame alive
+    return Image(img.pixels[y0:y0 + size, x0:x0 + size].copy(),
                  img.mask[y0:y0 + size, x0:x0 + size].copy())
+
+
+# samples per block of the sampler: a block's scratch arrays, about 0.6 MB
+# together, stay in cache and are reused, not faulted in afresh per frame
+_BLOCK = 16384
 
 
 class SamplingPlan(NamedTuple):
@@ -228,43 +241,69 @@ def _validity(mask, plan):
 
 
 def sampling_plan(shape, xs: np.ndarray, ys: np.ndarray) -> SamplingPlan:
-    """Plan bilinear samples at float coordinates on an image of this shape."""
+    """Plan bilinear samples at float64 coordinates on an image of this shape.
+
+    xs and ys broadcast against each other; the plan has their broadcast
+    shape. The work runs over blocks of _BLOCK samples in scratch arrays of
+    one block, and each block's results go into the plan's arrays.
+    """
     h, w = shape
-    fx = np.fmax(xs, -1.0)  # fmax takes -1 over NaN
-    fy = np.fmax(ys, -1.0)
-    np.fmin(fx, w, out=fx)
-    np.fmin(fy, h, out=fy)
-    x0 = np.floor(fx)
-    y0 = np.floor(fy)
-    fx -= x0
-    fy -= y0
-    # tap (dx, dy) lies in the image iff x0 + dx is in [0, w - 1] and
-    # y0 + dy in [0, h - 1]; the clamp keeps x0 >= -1 and y0 >= -1
-    in_x = ((x0 >= 0) & (x0 <= w - 1), x0 <= w - 2)
-    in_y = ((y0 >= 0) & (y0 <= h - 1), y0 <= h - 2)
-    y0 += 1
-    y0 *= w + 3
-    y0 += x0
-    y0 += 1
-    base = y0.astype(np.intp)
-    del x0, y0
-    # gx*gy, fx*gy, gx*fy, fx*fy with gx = 1 - fx and gy = 1 - fy, made in
-    # the weights themselves (a product is the same either way round). One
-    # block rather than four arrays: once glibc frees a block this large it
-    # keeps more freed heap for reuse, so later arrays skip fresh page
-    # faults; that is faster per frame, at some resident memory.
-    weights = np.empty((4,) + base.shape)
-    gy = np.subtract(1, fy, out=weights[1])
-    gx = np.subtract(1, fx, out=weights[2])
-    np.multiply(gx, gy, out=weights[0])
-    gy *= fx
-    gx *= fy
-    np.multiply(fx, fy, out=weights[3])
-    valid = np.ones(base.shape, dtype=bool)
-    for (dx, dy), wt in zip(((0, 0), (1, 0), (0, 1), (1, 1)), weights):
-        # a weight of 0 (a subnormal fraction can round one to 0) reads no tap
-        valid &= (in_x[dx] & in_y[dy]) | (wt == 0)
-    return SamplingPlan((h, w), base, weights, valid)
+    xs, ys = np.broadcast_arrays(xs, ys)
+    out_shape = xs.shape
+    xs = xs.reshape(-1)
+    ys = ys.reshape(-1)
+    n = xs.size
+    base = np.empty(n, dtype=np.intp)
+    weights = np.empty((4, n))
+    valid = np.ones(n, dtype=bool)
+    m = min(n, _BLOCK)
+    scratch = np.empty((4, m))
+    flags = np.empty((6, m), dtype=bool)
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        fx, fy, x0, y0 = scratch[:, :hi - lo]
+        in_x0, in_x1, in_y0, in_y1, both, zero = flags[:, :hi - lo]
+        np.fmax(xs[lo:hi], -1.0, out=fx)  # fmax takes -1 over NaN
+        np.fmax(ys[lo:hi], -1.0, out=fy)
+        np.fmin(fx, w, out=fx)
+        np.fmin(fy, h, out=fy)
+        np.floor(fx, out=x0)
+        np.floor(fy, out=y0)
+        fx -= x0
+        fy -= y0
+        # tap (dx, dy) lies in the image iff x0 + dx is in [0, w - 1] and
+        # y0 + dy in [0, h - 1]; the clamp keeps x0 >= -1 and y0 >= -1
+        np.greater_equal(x0, 0, out=in_x0)
+        in_x0 &= np.less_equal(x0, w - 1, out=both)
+        np.less_equal(x0, w - 2, out=in_x1)
+        np.greater_equal(y0, 0, out=in_y0)
+        in_y0 &= np.less_equal(y0, h - 1, out=both)
+        np.less_equal(y0, h - 2, out=in_y1)
+        y0 += 1
+        y0 *= w + 3
+        y0 += x0
+        y0 += 1
+        base[lo:hi] = y0
+        # gx*gy, fx*gy, gx*fy, fx*fy with gx = 1 - fx and gy = 1 - fy, made
+        # in the weights themselves (a product is the same either way round)
+        wts = weights[:, lo:hi]
+        gy = np.subtract(1, fy, out=wts[1])
+        gx = np.subtract(1, fx, out=wts[2])
+        np.multiply(gx, gy, out=wts[0])
+        gy *= fx
+        gx *= fy
+        np.multiply(fx, fy, out=wts[3])
+        block_valid = valid[lo:hi]
+        for in_x, in_y, wt in zip((in_x0, in_x1, in_x0, in_x1),
+                                  (in_y0, in_y0, in_y1, in_y1), wts):
+            # a weight of 0 (a subnormal fraction can round one to 0) reads
+            # no tap
+            np.logical_and(in_x, in_y, out=both)
+            both |= np.equal(wt, 0, out=zero)
+            block_valid &= both
+    return SamplingPlan((h, w), base.reshape(out_shape),
+                        weights.reshape((4,) + out_shape),
+                        valid.reshape(out_shape))
 
 
 def apply_plan(plan: SamplingPlan, pixels: np.ndarray, mask: np.ndarray):
@@ -275,14 +314,22 @@ def apply_plan(plan: SamplingPlan, pixels: np.ndarray, mask: np.ndarray):
         raise ValueError(f"image shape {pixels.shape} does not match the "
                          f"sampling plan's {plan.shape}")
     flat = _padded(pixels)
-    values = np.zeros(plan.base.shape)  # the sum starts at +0.0
-    tap = np.empty(plan.base.shape)
-    for offset, wt in zip(_offsets(plan.shape), plan.weights):
-        # the clamp keeps every index in range; mode="clip" only spares the
-        # buffered copy of out that take makes under mode="raise"
-        flat[offset:].take(plan.base, out=tap, mode="clip")
-        tap *= wt
-        values += tap
+    base = plan.base.reshape(-1)
+    weights = plan.weights.reshape(4, -1)
+    n = base.size
+    values = np.zeros(n)  # the sum starts at +0.0
+    scratch = np.empty(min(n, _BLOCK))
+    offsets = _offsets(plan.shape)
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        tap, index, total = scratch[:hi - lo], base[lo:hi], values[lo:hi]
+        for offset, wt in zip(offsets, weights[:, lo:hi]):
+            # the clamp keeps every index in range; mode="clip" only spares
+            # the buffered copy of out that take makes under mode="raise"
+            flat[offset:].take(index, out=tap, mode="clip")
+            tap *= wt
+            total += tap
+    values = values.reshape(plan.base.shape)
     if mask.all():
         return values, plan.valid.copy()
     return values, _validity(mask, plan)

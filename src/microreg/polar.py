@@ -18,6 +18,11 @@ class PolarImage:
     offset, r_j = (j + 0.5) * max_radius / R. valid is a boolean array of
     the same shape that flags samples whose bilinear support stayed in bounds
     and masked-in. Invalid samples hold 0.
+
+    The arrays are taken as np.asarray takes them: a float64 values array
+    with an all-True valid is kept as given, not copied. A valid that is not
+    all True leaves the given array alone and stores a copy with the invalid
+    samples set to 0.
     """
 
     values: np.ndarray
@@ -33,7 +38,8 @@ class PolarImage:
             raise ValueError("valid shape must match values")
         if self.max_radius <= 0:
             raise ValueError("max_radius must be positive")
-        self.values = np.where(self.valid, self.values, 0.0)
+        if not self.valid.all():  # copy only to zero the invalid samples
+            self.values = np.where(self.valid, self.values, 0.0)
         if not np.isfinite(self.values).all():
             raise ValueError("values must be finite at valid samples")
 

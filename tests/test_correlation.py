@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from microreg import (DegenerateOverlapError, cyclic_shift, estimate_rotation,
                       estimate_rotation_pruned, ncc, prepare_reference,
                       rotate, rotation_score_curve)
-from microreg.correlation import _masked_ncc, _overlap_sums
+from microreg.correlation import _centered, _masked_ncc, _overlap_sums
 from microreg.polar import PolarImage
 
 from conftest import asym_scene, dyadic, exact_affine, polar_pipeline
@@ -57,6 +57,29 @@ class TestNcc:
     def test_zero_variance(self):
         with pytest.raises(DegenerateOverlapError):
             ncc([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+
+class TestCentered:
+    @settings(max_examples=200, deadline=None)
+    @given(h=st.integers(1, 40), w=st.integers(1, 40),
+           layout=st.sampled_from(("C", "sliced", "transposed")),
+           scale_exp=st.integers(-300, 300), offset=st.floats(-1e6, 1e6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_fully_valid_grid_matches_the_gathered_mean(
+            self, h, w, layout, scale_exp, offset, seed):
+        # a fully valid grid skips the gather and the where, bit for bit;
+        # past 128 samples numpy sums pairwise, so the order must match too
+        values = np.random.default_rng(seed).standard_normal((h, w))
+        values = values * 10.0 ** scale_exp + offset
+        if layout == "sliced":
+            values = values[::2, ::-1]
+        elif layout == "transposed":
+            values = values.T
+        valid = np.ones(values.shape, dtype=bool)
+        expected = np.where(valid, values - values[valid].mean(), 0.0)
+        actual = _centered(values, valid)
+        assert actual.shape == expected.shape
+        assert np.array_equal(actual.view(np.int64), expected.view(np.int64))
 
 
 class TestRotationScoreCurve:

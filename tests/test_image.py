@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from microreg import (DegenerateImageError, Image, PgmFormatError, center_crop,
                       circular_crop, load_pgm, normalize, rotate,
                       rotation_matrix, save_pgm)
+from microreg import image
 from microreg.image import (_validity, apply_plan, bilinear_sample,
                             sampling_plan)
 
@@ -39,6 +40,20 @@ class TestImage:
         assert np.array_equal(img.pixels[keep].view(np.int64),
                               pixels[keep].view(np.int64))
         assert not img.pixels[~keep].view(np.int64).any()  # +0.0 bits
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=pixels_and_masks())
+    def test_keeps_the_given_array_and_copies_only_to_zero(self, case):
+        # the docstring's rule: an all-True mask keeps a float64 array as
+        # given; any other mask zeroes a copy and leaves the array alone
+        pixels, mask = case
+        held = pixels.copy()
+        img = Image(pixels, mask)
+        if mask is None or mask.all():
+            assert img.pixels is pixels
+        else:
+            assert not np.shares_memory(img.pixels, pixels)
+        assert np.array_equal(pixels.view(np.int64), held.view(np.int64))
 
 
 class TestLoadPgm:
@@ -292,6 +307,19 @@ class TestCircularCrop:
         with pytest.raises(ValueError, match="outside"):
             circular_crop(img, 100.0, 100.0, 3.0)
 
+    @pytest.mark.parametrize("masked", (False, True))
+    @pytest.mark.parametrize("radius", (2.0, 10.0))
+    def test_crop_owns_its_arrays(self, masked, radius):
+        # a kept crop must not pin the whole frame; radius 10 covers the
+        # window, so the crop's mask is all True and nothing forces a copy
+        mask = np.ones((6, 6), dtype=bool)
+        mask[0, 0] = not masked
+        img = Image(np.arange(36.0).reshape(6, 6), mask)
+        out = circular_crop(img, 2.5, 2.5, radius)
+        assert out.mask.all() == (radius == 10.0 and not masked)
+        assert not np.shares_memory(out.pixels, img.pixels)
+        assert not np.shares_memory(out.mask, img.mask)
+
 
 class TestCenterCrop:
     def test_full_window(self):
@@ -309,6 +337,18 @@ class TestCenterCrop:
             center_crop(img, 0)
         with pytest.raises(ValueError):
             center_crop(img, 5)
+
+    @pytest.mark.parametrize("masked", (False, True))
+    @pytest.mark.parametrize("size", (2, 4))
+    def test_crop_owns_its_arrays(self, masked, size):
+        # a kept crop must not pin the whole frame, the full window included
+        mask = np.ones((4, 4), dtype=bool)
+        mask[1, 1] = not masked
+        img = Image(np.arange(16.0).reshape(4, 4), mask)
+        out = center_crop(img, size)
+        assert out.mask.all() == (not masked)
+        assert not np.shares_memory(out.pixels, img.pixels)
+        assert not np.shares_memory(out.mask, img.mask)
 
 
 def per_tap_bilinear_sample(pixels, mask, xs, ys):
@@ -457,6 +497,63 @@ class TestBilinearSample:
         assert np.array_equal(first_valid, second_valid)
         assert first_valid is not plan.valid
         assert not np.shares_memory(first_valid, plan.valid)
+
+
+def plan_and_apply(pixels, mask, xs, ys):
+    plan = sampling_plan(pixels.shape, xs, ys)
+    return (plan.base, plan.weights, plan.valid,
+            *apply_plan(plan, pixels, mask))
+
+
+def assert_same_bits(expected, actual):
+    for e, a in zip(expected, actual, strict=True):
+        assert e.shape == a.shape and e.dtype == a.dtype
+        assert e.tobytes() == a.tobytes()
+
+
+def blocked(block, *case):
+    """plan_and_apply with image._BLOCK set to block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(image, "_BLOCK", block)
+        return plan_and_apply(*case)
+
+
+class TestBlocks:
+    """The sampler runs over blocks of image._BLOCK samples; the block size
+    changes no bit of the plan or of what it samples."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=sampling_cases(), block=st.sampled_from((1, 7, 64)),
+           form=st.sampled_from(("drawn", "broadcast", "around the block")),
+           offset=st.sampled_from((-1, 0, 1)))
+    def test_block_size_changes_no_bit(self, case, block, form, offset):
+        pixels, mask, xs, ys = case
+        if form == "broadcast":
+            # a 1-D row of x against a 2-D column of y, planned on the
+            # (n, n) grid they span; the oracle gets the grid materialized
+            ys = ys[:, None]
+            full = [a.copy() for a in np.broadcast_arrays(xs, ys)]
+        else:
+            if form == "around the block":  # block - 1, block, block + 1
+                xs, ys = (np.resize(a, block + offset) for a in (xs, ys))
+            full = (xs, ys)
+        expected = plan_and_apply(pixels, mask, *full)
+        assert_same_bits(expected, blocked(block, pixels, mask, xs, ys))
+
+    @pytest.mark.parametrize("offset", (-1, 0, 1))
+    def test_sizes_around_the_default_block(self, offset):
+        n = image._BLOCK + offset
+        rng = np.random.default_rng(offset + 1)
+        pixels = rng.uniform(-1e3, 1e3, (9, 7))
+        pixels[rng.random(pixels.shape) < 0.1] = -0.0
+        mask = rng.random(pixels.shape) < 0.8
+        xs = rng.uniform(-3.0, 9.0, n)
+        ys = rng.uniform(-3.0, 11.0, n)
+        xs[::97] = np.resize(FAR, xs[::97].size)
+        ys[5::89] = np.resize(FAR, ys[5::89].size)
+        for frame_mask in (mask, np.ones(pixels.shape, dtype=bool)):
+            expected = plan_and_apply(pixels, frame_mask, xs, ys)
+            assert_same_bits(expected, blocked(64, pixels, frame_mask, xs, ys))
 
 
 def rotate90_oracle(pixels):
