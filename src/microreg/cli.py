@@ -119,6 +119,7 @@ def cmd_align(args):
     with _about(args.cand):
         cand_img = load_pgm(args.cand)
         cand_p = prepare_polar(cand_img, args.angular, args.radial, plans)
+        del plans  # not used again: free the plan before scoring
         search = estimate_rotation_pruned if args.pruned else estimate_rotation
         est = search(ref, cand_p)
 

@@ -107,6 +107,7 @@ def correlation_matrix(images: list[Image], crop_size: int) -> CorrelationMatrix
     sab = (a @ a.T)[i, j]
     sums = a @ v.T
     sqsums = np.square(a, out=a) @ v.T  # squared in place: a is not used again
+    del v, a  # the Gram products are all that is needed of them
 
     def exact(t):
         ci, cj = (center_crop(images[k], crop_size) for k in (i[t], j[t]))
