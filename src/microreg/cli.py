@@ -6,6 +6,7 @@ successful run writes a JSON run manifest listing the files it created.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -205,7 +206,10 @@ def cmd_sequence(args):
     return params, [Path(args.plan), Path(args.frames)]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later
+    call: parsing reads it and leaves it unchanged."""
     parser = _Parser(prog="microreg",
                      description="Rotation registration and frame sequencing "
                                  "for grayscale micrograph-style images")

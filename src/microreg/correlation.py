@@ -76,10 +76,9 @@ def _masked_ncc(n, sa, sb, saa, sbb, sab, where, exact):
     """NCC of each entry of 1-D arrays of sums over masked overlaps.
 
     n is the overlap size, sa and sb the sums of each side, saa and sbb their
-    sums of squares, sab the sum of products. n and sab are arrays; a sum
-    that is the same for every entry may be a scalar, which broadcasts.
-    where(i) names entry i in the error raised when an overlap has fewer
-    than 2 samples or no variance.
+    sums of squares, sab the sum of products: six 1-D arrays with one entry
+    per overlap. where(i) names entry i in the error raised when an overlap
+    has fewer than 2 samples or no variance.
     exact(i) is the two-pass ncc of entry i's overlap. It replaces entries
     whose one-pass variances are ill-conditioned: saa - sa^2/n cancels when an
     overlap's mean is far from zero against its spread, and its relative error
@@ -200,17 +199,19 @@ def _overlap_sums(ref: PolarImage, cand: PolarImage):
     return np.rint(n), sr, sc, srr, scc, src
 
 
-def _full_sums(ref: Reference, cand: PolarImage):
-    """The same sums when both grids are fully valid. Every overlap is then
-    the whole grid, so only src varies with the shift: n = S R, sr = sc = 0
-    after centering, srr = 1 for the unit reference grid, and scc is the
-    candidate's energy. The candidate is centered but not scaled, so a flat
-    one reaches the degeneracy rules of _masked_ncc."""
-    s = ref.grid.angular_samples
+def _full_scores(ref: Reference, cand: PolarImage) -> np.ndarray:
+    """The curve when both grids are fully valid. Every overlap is then the
+    whole grid, so the NCC at each shift is the unit reference's circular
+    correlation with the centered candidate, over the candidate's norm. A
+    flat candidate fails as a zero-variance overlap at shift 0."""
     b = _centered(cand.values, cand.valid)
+    sbb = np.vdot(b, b)
+    if _flat(sbb, b.size, 0.0):  # centered: the mean is 0
+        raise DegenerateOverlapError("zero variance overlap at shift 0")
     fc = np.fft.rfft(b, axis=0)
-    src = np.fft.irfft(np.einsum("kj,kj->k", ref.spectrum, fc), n=s)
-    return np.full(s, float(b.size)), 0.0, 0.0, 1.0, np.vdot(b, b), src
+    src = np.fft.irfft(np.einsum("kj,kj->k", ref.spectrum, fc),
+                       n=ref.grid.angular_samples)
+    return _clamp(src / np.sqrt(sbb))
 
 
 def rotation_score_curve(ref: PolarImage | Reference,
@@ -224,20 +225,20 @@ def rotation_score_curve(ref: PolarImage | Reference,
     sums are circular cross-correlations along the angle axis, summed over the
     radii: each comes from one product of rfft spectra and one irfft (the
     masked NCC of Padfield, IEEE TIP 2012), O(S R log S) for the whole curve.
-    When both grids are fully valid, five of the sums are constants and the
+    When both grids are fully valid, every overlap is the whole grid and the
     curve takes one spectrum per candidate against the reference's, which a
-    Reference from prepare_reference keeps across calls. The rare shift whose
-    overlap is too ill-conditioned for one-pass sums is recomputed with the
-    two-pass ncc over the rolled candidate.
+    Reference from prepare_reference keeps across calls. On masked grids, the
+    rare shift whose overlap is too ill-conditioned for one-pass sums is
+    recomputed with the two-pass ncc over the rolled candidate.
     """
     grid = _grid(ref)
     _check_grids(grid, cand)
     if grid.valid.all() and cand.valid.all():
         if not isinstance(ref, Reference):
             ref = prepare_reference(ref)
-        sums = _full_sums(ref, cand)
-    else:
-        sums = _overlap_sums(grid, cand)
+        return NccCurve(_full_scores(ref, cand),
+                        np.full(grid.angular_samples, grid.valid.size))
+    sums = _overlap_sums(grid, cand)
 
     def exact(k):
         rolled = cyclic_shift(cand, -k)
@@ -248,17 +249,17 @@ def rotation_score_curve(ref: PolarImage | Reference,
     return NccCurve(scores, sums[0].astype(np.int64))
 
 
+def _estimate(curve, shift, cand, op_counts=None) -> RotationEstimate:
+    """The estimate both searches return: shift in degrees, score at shift."""
+    return RotationEstimate(shift, shift * cand.angular_step_deg,
+                            float(curve.scores[shift]), curve, op_counts)
+
+
 def estimate_rotation(ref: PolarImage | Reference,
                       cand: PolarImage) -> RotationEstimate:
     """Best rotation angle: smallest shift attaining the maximum NCC."""
     curve = rotation_score_curve(ref, cand)
-    shift = int(np.argmax(curve.scores))
-    return RotationEstimate(
-        shift=shift,
-        angle_deg=shift * cand.angular_step_deg,
-        peak_ncc=float(curve.scores[shift]),
-        curve=curve,
-    )
+    return _estimate(curve, int(np.argmax(curve.scores)), cand)
 
 
 def estimate_rotation_pruned(ref: PolarImage | Reference,
@@ -320,10 +321,5 @@ def estimate_rotation_pruned(ref: PolarImage | Reference,
         live = live[~out]
     curve = NccCurve(_clamp(scores), np.full(s, s * r, dtype=np.int64))
     shift = int(np.argmax(np.where(finished, curve.scores, -np.inf)))
-    return RotationEstimate(
-        shift=shift,
-        angle_deg=shift * cand.angular_step_deg,
-        peak_ncc=float(curve.scores[shift]),
-        curve=curve,
-        op_counts=OpCounts(evaluated=evaluated, exhaustive=s * s * r),
-    )
+    return _estimate(curve, shift, cand,
+                     OpCounts(evaluated=evaluated, exhaustive=s * s * r))

@@ -225,10 +225,14 @@ def _padded(a: np.ndarray) -> np.ndarray:
     return out.ravel()
 
 
+# the taps (dx, dy) from a sample's top-left one, in summation order
+_TAPS = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
 def _offsets(shape):
     """Flat offsets of the four taps from base, in summation order."""
     row = shape[1] + 3
-    return 0, 1, row, row + 1
+    return tuple(dx + dy * row for dx, dy in _TAPS)
 
 
 def _validity(mask, plan):
@@ -244,8 +248,11 @@ def sampling_plan(shape, xs: np.ndarray, ys: np.ndarray) -> SamplingPlan:
     """Plan bilinear samples at float64 coordinates on an image of this shape.
 
     xs and ys broadcast against each other; the plan has their broadcast
-    shape. The work runs over blocks of _BLOCK samples in scratch arrays of
-    one block, and each block's results go into the plan's arrays.
+    shape. The work runs over blocks of _BLOCK samples: the float work in a
+    scratch array of one block, and each block's results go into the plan's
+    arrays. A block's validity comes from its tap bounds, whether x0 + dx
+    and y0 + dy lie in the image for each tap (dx, dy) that has nonzero
+    weight.
     """
     h, w = shape
     xs, ys = np.broadcast_arrays(xs, ys)
@@ -256,13 +263,10 @@ def sampling_plan(shape, xs: np.ndarray, ys: np.ndarray) -> SamplingPlan:
     base = np.empty(n, dtype=np.intp)
     weights = np.empty((4, n))
     valid = np.ones(n, dtype=bool)
-    m = min(n, _BLOCK)
-    scratch = np.empty((4, m))
-    flags = np.empty((6, m), dtype=bool)
+    scratch = np.empty((4, min(n, _BLOCK)))
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         fx, fy, x0, y0 = scratch[:, :hi - lo]
-        in_x0, in_x1, in_y0, in_y1, both, zero = flags[:, :hi - lo]
         np.fmax(xs[lo:hi], -1.0, out=fx)  # fmax takes -1 over NaN
         np.fmax(ys[lo:hi], -1.0, out=fy)
         np.fmin(fx, w, out=fx)
@@ -271,14 +275,11 @@ def sampling_plan(shape, xs: np.ndarray, ys: np.ndarray) -> SamplingPlan:
         np.floor(fy, out=y0)
         fx -= x0
         fy -= y0
-        # tap (dx, dy) lies in the image iff x0 + dx is in [0, w - 1] and
-        # y0 + dy in [0, h - 1]; the clamp keeps x0 >= -1 and y0 >= -1
-        np.greater_equal(x0, 0, out=in_x0)
-        in_x0 &= np.less_equal(x0, w - 1, out=both)
-        np.less_equal(x0, w - 2, out=in_x1)
-        np.greater_equal(y0, 0, out=in_y0)
-        in_y0 &= np.less_equal(y0, h - 1, out=both)
-        np.less_equal(y0, h - 2, out=in_y1)
+        # tap (dx, dy) lies in the image iff in_x[dx] and in_y[dy]: x0 + dx
+        # is in [0, w - 1] and y0 + dy in [0, h - 1]; the clamp keeps
+        # x0 >= -1 and y0 >= -1
+        in_x = ((x0 >= 0) & (x0 <= w - 1), x0 <= w - 2)
+        in_y = ((y0 >= 0) & (y0 <= h - 1), y0 <= h - 2)
         y0 += 1
         y0 *= w + 3
         y0 += x0
@@ -293,14 +294,10 @@ def sampling_plan(shape, xs: np.ndarray, ys: np.ndarray) -> SamplingPlan:
         gy *= fx
         gx *= fy
         np.multiply(fx, fy, out=wts[3])
-        block_valid = valid[lo:hi]
-        for in_x, in_y, wt in zip((in_x0, in_x1, in_x0, in_x1),
-                                  (in_y0, in_y0, in_y1, in_y1), wts):
+        for (dx, dy), wt in zip(_TAPS, wts):
             # a weight of 0 (a subnormal fraction can round one to 0) reads
             # no tap
-            np.logical_and(in_x, in_y, out=both)
-            both |= np.equal(wt, 0, out=zero)
-            block_valid &= both
+            valid[lo:hi] &= (in_x[dx] & in_y[dy]) | (wt == 0)
     return SamplingPlan((h, w), base.reshape(out_shape),
                         weights.reshape((4,) + out_shape),
                         valid.reshape(out_shape))

@@ -6,7 +6,7 @@ import pytest
 
 from microreg import (Image, circular_crop, normalize, rotate,
                       rotation_score_curve, save_pgm, to_polar)
-from microreg.cli import main, prepare_polar
+from microreg.cli import build_parser, main, prepare_polar
 from microreg.sequencer import matrix_to_csv, load_square_csv
 
 from conftest import TABLE1, asym_scene
@@ -404,3 +404,11 @@ class TestUsageErrors:
 
     def test_missing_subcommand(self):
         assert main([]) == 1
+
+    def test_one_parser_serves_every_call(self, tmp_path):
+        assert build_parser() is build_parser()
+        synth = ["synth", "--size", "16", "--half-length", "4",
+                 "--out", str(tmp_path / "f.pgm")]
+        codes = [main(["frobnicate"]), main(synth), main(["align"]),
+                 main(synth)]
+        assert codes == [1, 0, 1, 0]

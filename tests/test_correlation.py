@@ -226,6 +226,20 @@ def six_spectrum_scores(ref, cand):
                        lambda k: brute_force_curve(ref, cand)[k])
 
 
+def constant_sums_scores(ref, cand):
+    """The fully valid curve as the masked NCC formula of its constant sums:
+    n = S R, zero sums after centering, unit reference energy, the centered
+    candidate's energy, and the one-spectrum correlation. Its kappa is 1, so
+    no entry falls back to a two-pass recompute."""
+    s, r = ref.values.shape
+    b = _centered(cand.values, cand.valid)
+    fc = np.fft.rfft(b, axis=0)
+    src = np.fft.irfft(np.einsum("kj,kj->k", prepare_reference(ref).spectrum,
+                                 fc), n=s)
+    return _masked_ncc(np.full(s, float(s * r)), 0.0, 0.0, 1.0, np.vdot(b, b),
+                       src, "shift {}".format, None)
+
+
 class TestOneSpectrumCurve:
     @settings(max_examples=150, deadline=None)
     @given(s=st.integers(2, 64), r=st.integers(1, 24),
@@ -244,8 +258,10 @@ class TestOneSpectrumCurve:
                          + 0.1 * rng.standard_normal((s, r)))
         ref, cand = (PolarImage(v, full, float(r)) for v in values)
         expected = six_spectrum_scores(ref, cand)
+        constant_sums = constant_sums_scores(ref, cand)
         for reference in (ref, prepare_reference(ref)):
             curve = rotation_score_curve(reference, cand)
+            assert np.array_equal(curve.scores, constant_sums)
             assert np.abs(curve.scores - expected).max() <= 1e-12
             assert np.argmax(curve.scores) == np.argmax(expected)
             assert np.array_equal(curve.sample_counts, np.full(s, s * r))
@@ -256,7 +272,10 @@ class TestOneSpectrumCurve:
                              720, 200)
         cand = polar_pipeline(rotate(asym_scene(noise_sigma=0.3, seed=600 + i),
                                      ANGLES[i]), 720, 200)
-        scores = rotation_score_curve(ref, cand).scores
+        constant_sums = constant_sums_scores(ref, cand)
+        for reference in (ref, prepare_reference(ref)):
+            scores = rotation_score_curve(reference, cand).scores
+            assert np.array_equal(scores, constant_sums)
         expected = six_spectrum_scores(ref, cand)
         assert np.abs(scores - expected).max() <= 1e-12
         assert np.argmax(scores) == np.argmax(expected)
