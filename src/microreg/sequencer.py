@@ -85,9 +85,11 @@ def correlation_matrix(images: list[Image], crop_size: int) -> CorrelationMatrix
     Each pair correlates over the pixels valid in both crops. With V the
     frames x pixels validity and A the crops centered on their valid means and
     zeroed outside V, every pair's overlap sums are entries of the Gram
-    products V Vt, A Vt, A^2 Vt and A At. The rare pair whose overlap is too
-    ill-conditioned for one-pass sums is recomputed with the two-pass ncc of
-    its re-cropped overlap. The diagonal is exactly 1.
+    products V Vt, A Vt, A^2 Vt and A At. When every crop is fully valid,
+    every overlap is the whole crop of p pixels: V Vt is p, the centered rows
+    sum to 0, and A At alone gives the rest. The rare pair whose overlap is
+    too ill-conditioned for one-pass sums is recomputed with the two-pass ncc
+    of its re-cropped overlap. The diagonal is exactly 1.
     """
     m = len(images)
     if m < 2:
@@ -98,24 +100,32 @@ def correlation_matrix(images: list[Image], crop_size: int) -> CorrelationMatrix
         except ValueError as exc:
             raise ValueError(f"image {idx}: {exc}") from exc
         if idx == 0:  # center_crop has vetted crop_size by now
-            v = np.empty((m, crop.pixels.size))
-            a = np.empty_like(v)
-        v[idx] = crop.mask.ravel()
+            a = np.empty((m, crop.pixels.size))
+            valid = np.empty(a.shape, dtype=bool)
+        valid[idx] = crop.mask.ravel()
         a[idx] = _centered(crop.pixels, crop.mask).ravel()
     i, j = np.triu_indices(m, 1)
-    n = (v @ v.T)[i, j]
-    sab = (a @ a.T)[i, j]
-    sums = a @ v.T
-    sqsums = np.square(a, out=a) @ v.T  # squared in place: a is not used again
-    del v, a  # the Gram products are all that is needed of them
+    if valid.all():
+        g = a @ a.T
+        d = np.diag(g)
+        sums = (np.full(i.size, float(a.shape[1])), 0.0, 0.0, d[i], d[j],
+                g[i, j])
+    else:
+        v = valid.astype(np.float64)
+        n = (v @ v.T)[i, j]
+        sab = (a @ a.T)[i, j]
+        s = a @ v.T
+        ss = np.square(a, out=a) @ v.T  # squared in place: a is not used again
+        sums = (n, s[i, j], s[j, i], ss[i, j], ss[j, i], sab)
+        del v
+    del valid, a  # the Gram products are all that is needed of them
 
     def exact(t):
         ci, cj = (center_crop(images[k], crop_size) for k in (i[t], j[t]))
         both = ci.mask & cj.mask
         return ncc(ci.pixels[both], cj.pixels[both])
 
-    upper = _masked_ncc(n, sums[i, j], sums[j, i], sqsums[i, j], sqsums[j, i],
-                        sab, lambda t: f"pair ({i[t]}, {j[t]})", exact)
+    upper = _masked_ncc(*sums, lambda t: f"pair ({i[t]}, {j[t]})", exact)
     values = np.eye(m)
     values[i, j] = values[j, i] = upper
     return CorrelationMatrix(values)
@@ -203,14 +213,25 @@ def matrix_to_csv(values: np.ndarray, path) -> None:
     """Write a square matrix as CSV with a header row of column indices.
 
     Each entry is its shortest round-trip repr, so load_square_csv reads
-    back the same bits.
+    back the same bits. A cell left of the diagonal reuses the text of its
+    mirror cell when the two hold the same bits, so a symmetric table is
+    formatted once per pair.
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
+    bits = values.view(np.int64)
+    left = [[] for _ in range(n)]  # row k's cells j < k, from row j's text
     with open(path, "w", encoding="ascii", newline="\n") as f:
         f.write(",".join(map(str, range(n))) + "\n")
-        for row in values.tolist():
-            f.write(",".join(map(repr, row)) + "\n")
+        for i in range(n):
+            row = values[i].tolist()
+            cells, left[i] = left[i], None
+            for j in np.flatnonzero(bits[i, :i] != bits[:i, i]).tolist():
+                cells[j] = repr(row[j])
+            right = list(map(repr, row[i:]))
+            for pending, cell in zip(left[i + 1:], right[1:]):
+                pending.append(cell)
+            f.write(",".join(cells + right) + "\n")
 
 
 def load_square_csv(path) -> np.ndarray:

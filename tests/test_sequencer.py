@@ -1,6 +1,9 @@
+import importlib.util
 import math
 import re
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from microreg import (DegenerateOverlapError, Image, ProbabilityTable,
                       correlation_matrix, greedy_sequence,
                       load_probability_csv, matrix_to_csv, ncc, normalize,
                       rotate, to_probability)
+from microreg.correlation import _centered, _masked_ncc
 from microreg.sequencer import CorrelationMatrix, load_square_csv
 
 from conftest import TABLE1, asym_scene, dyadic, exact_affine
@@ -68,6 +72,44 @@ class TestCorrelationMatrix:
                     expected = ncc(crops[i].pixels[both], crops[j].pixels[both])
                     assert abs(c.values[i, j] - expected) <= 1e-12
 
+    def test_crop_of_one_pixel_reports_first_pair(self):
+        rng = np.random.default_rng(7)
+        imgs = [Image(rng.normal(size=(8, 8))) for _ in range(3)]
+        with pytest.raises(DegenerateOverlapError,
+                           match=r"^overlap of 1 samples at pair \(0, 1\)$"):
+            correlation_matrix(imgs, crop_size=1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(maps=st.lists(st.tuples(st.floats(-2, 2), st.floats(-50, 50)),
+                         min_size=2, max_size=8),
+           size=st.integers(2, 16), data=st.data(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_fully_valid_stack_matches_four_products(self, maps, size, data,
+                                                     seed):
+        # each frame gets its own scale 10**-2..10**2 and offset up to +-50
+        crop = data.draw(st.integers(2, size))
+        rng = np.random.default_rng(seed)
+        imgs = [Image(10.0 ** e * rng.standard_normal((size, size)) + b)
+                for e, b in maps]
+        got = correlation_matrix(imgs, crop).values
+        assert np.abs(got - four_product_matrix(imgs, crop)).max() <= 1e-15
+
+    @pytest.mark.parametrize("name", ["matrix-stack", "sequence-many"])
+    def test_workload_frames_match_four_products(self, name):
+        # the frames each workload's matrix request correlates: rendered at
+        # a grid angle and rotated back, every center crop fully valid
+        workloads = bench_workloads()
+        shape = workloads.SHAPES[name]
+        kind, rng = shape.stack, np.random.default_rng(3)
+        imgs = []
+        for seed, k in enumerate(rng.integers(0, kind.angular, shape.stack_n)):
+            angle = k * 360.0 / kind.angular
+            imgs.append(rotate(workloads.render_scene(
+                kind.size, 20.0, angle, kind.noise, seed), -angle))
+        assert all(center_crop(img, shape.crop).mask.all() for img in imgs)
+        got = correlation_matrix(imgs, shape.crop).values
+        assert np.abs(got - four_product_matrix(imgs, shape.crop)).max() <= 1e-15
+
     def test_zero_variance_pair_is_named(self):
         rng = np.random.default_rng(5)
         flat_center = rng.normal(size=(16, 16))
@@ -120,6 +162,36 @@ def affine_invariance_error(maps, size, keep, crop, seed):
              for f, (e, b) in zip(frames, maps)]
     base = correlation_matrix(frames, crop).values
     return np.abs(correlation_matrix(moved, crop).values - base).max()
+
+
+def four_product_matrix(images, crop_size):
+    """Reference matrix: the overlap sums of every pair from the four Gram
+    products V Vt, A Vt, A^2 Vt and A At, whatever the crops' masks."""
+    crops = [center_crop(img, crop_size) for img in images]
+    v = np.array([c.mask.ravel() for c in crops], dtype=np.float64)
+    a = np.array([_centered(c.pixels, c.mask).ravel() for c in crops])
+    i, j = np.triu_indices(len(images), 1)
+    sums, sqsums = a @ v.T, np.square(a) @ v.T
+
+    def exact(t):
+        both = crops[i[t]].mask & crops[j[t]].mask
+        return ncc(crops[i[t]].pixels[both], crops[j[t]].pixels[both])
+
+    upper = _masked_ncc((v @ v.T)[i, j], sums[i, j], sums[j, i], sqsums[i, j],
+                        sqsums[j, i], (a @ a.T)[i, j], str, exact)
+    values = np.eye(len(images))
+    values[i, j] = values[j, i] = upper
+    return values
+
+
+def bench_workloads():
+    """The benchmark's workload module, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestTableValidation:
@@ -271,7 +343,17 @@ def square_floats(draw, **floats):
     cell = st.floats(**floats) | st.sampled_from(
         (5e-324, -5e-324, 2.2250738585072014e-308, 0.1 + 0.2, -0.0, 0.0))
     cells = draw(st.lists(cell, min_size=n * n, max_size=n * n))
-    return np.array(cells, dtype=np.float64).reshape(n, n)
+    table = np.array(cells, dtype=np.float64).reshape(n, n)
+    if draw(st.booleans()):
+        # the lower triangle mirrors the upper one bit for bit, except that
+        # some zeros and NaNs change sign: 0.0 faces -0.0, NaN another NaN
+        lower = np.tril_indices(n, -1)
+        mirror = table.T[lower]
+        flip = np.array(draw(st.lists(st.booleans(), min_size=mirror.size,
+                                      max_size=mirror.size)), dtype=bool)
+        flip &= (mirror == 0.0) | np.isnan(mirror)
+        table[lower] = np.where(flip, -mirror, mirror)
+    return table
 
 
 class TestCsvRoundTrip:
