@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -61,6 +62,10 @@ class Image:
         return self.pixels.shape[0]
 
 
+# a header token, after any whitespace and '#' comments running to end of line
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)")
+
+
 def _read_pgm_header(data: bytes):
     """Return (width, height, maxval, payload_offset) for a P5 header.
 
@@ -68,20 +73,9 @@ def _read_pgm_header(data: bytes):
     """
     tokens = []
     pos = 0
-    n = len(data)
-    while len(tokens) < 4 and pos < n:
-        c = data[pos:pos + 1]
-        if c.isspace():
-            pos += 1
-        elif c == b"#":
-            nl = data.find(b"\n", pos)
-            pos = n if nl < 0 else nl + 1
-        else:
-            end = pos
-            while end < n and not data[end:end + 1].isspace():
-                end += 1
-            tokens.append(data[pos:end])
-            pos = end
+    while len(tokens) < 4 and (m := _TOKEN.match(data, pos)):
+        tokens.append(m[1])
+        pos = m.end()
     if len(tokens) < 4:
         raise PgmFormatError("malformed header: fewer than 4 header tokens")
     if tokens[0] != b"P5":

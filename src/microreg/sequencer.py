@@ -144,20 +144,19 @@ def _check_index(n: int, idx: int) -> None:
 def greedy_sequence(p: ProbabilityTable, start: int, length: int) -> SequencePlan:
     """Repeatedly pick the most probable successor (excluding the current frame).
 
-    Revisits are allowed; ties break toward the smallest index.
+    Each frame's successor is fixed, so the chain is a walk on one successor
+    table. Revisits are allowed; ties break toward the smallest index.
     """
     _check_index(p.n, start)
     if length < 1:
         raise ValueError("length must be >= 1")
+    others = p.p.copy()
+    np.fill_diagonal(others, -np.inf)  # no immediate repeat
+    successor = others.argmax(axis=1).tolist()
     frames = [start]
-    step_probs = []
     for _ in range(length - 1):
-        cur = frames[-1]
-        row = p.p[cur].copy()
-        row[cur] = -np.inf  # no immediate repeat
-        nxt = int(np.argmax(row))
-        frames.append(nxt)
-        step_probs.append(float(p.p[cur, nxt]))
+        frames.append(successor[frames[-1]])
+    step_probs = p.p[frames[:-1], frames[1:]].tolist()
     return SequencePlan(frames, step_probs, _log_sum(step_probs))
 
 
@@ -183,7 +182,7 @@ def chain_probability(p: ProbabilityTable, frames: list[int]) -> float:
     for prev, cur in zip(frames, frames[1:]):
         if prev == cur:
             raise ValueError("immediate repeats are not allowed")
-    return _log_sum(p.p[prev, cur] for prev, cur in zip(frames, frames[1:]))
+    return _log_sum(p.p[frames[:-1], frames[1:]].tolist())
 
 
 def check_monotonicity(p: ProbabilityTable,
@@ -198,15 +197,9 @@ def check_monotonicity(p: ProbabilityTable,
         raise ValueError("need at least 2 frames")
     for f in frames:
         _check_index(p.n, f)
-    last = frames[-1]
-    violations = []
-    for t in range(len(frames) - 2, 0, -1):
-        nearer = p.p[last, frames[t]]
-        farther = p.p[last, frames[t - 1]]
-        if farther > nearer:
-            violations.append(MonotonicityViolation(
-                position=t - 1, expected_ge=float(nearer), actual=float(farther)))
-    return violations
+    q = p.p[frames[-1], frames[:-1]]  # q[t]: to the last frame from frames[t]
+    return [MonotonicityViolation(t, float(q[t + 1]), float(q[t]))
+            for t in np.flatnonzero(q[:-1] > q[1:])[::-1].tolist()]
 
 
 def matrix_to_csv(values: np.ndarray, path) -> None:

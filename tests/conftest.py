@@ -33,6 +33,35 @@ def asym_scene(base_deg=0.0, noise_sigma=0.0, seed=0, size=256):
     return Image(pixels)
 
 
+def growth_series(noise_sigma=0.0, seed=0, frames=16, size=128):
+    """A filament that grows over time, each frame at a seeded random angle.
+
+    Frame t's filament has half length 10 + 45 t / (frames - 1) px at 128 px
+    (scaled with size). A blob at a fixed offset from the center turns with
+    the frame, as in the benchmark's scene, so each frame has one orientation.
+    Returns the frames in time order and their angles in degrees.
+    """
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(0.0, 360.0, frames)
+    noise_seeds = rng.integers(0, 2**32, frames)
+    halves = np.linspace(10.0, 55.0, frames) * size / 128
+    c = (size - 1) / 2.0
+    ys, xs = np.mgrid[0:size, 0:size]
+    sigma = size / 50.0
+    images = []
+    for half, angle, noise_seed in zip(halves, angles, noise_seeds):
+        pixels = synth_filament(FilamentSpec(
+            size=size, orientation_deg=angle, half_length=half,
+            noise_sigma=noise_sigma, seed=int(noise_seed))).pixels
+        t = np.deg2rad(angle)
+        dx, dy = 0.07 * size, 0.12 * size
+        bx = c + np.cos(t) * dx - np.sin(t) * dy
+        by = c + np.sin(t) * dx + np.cos(t) * dy
+        images.append(Image(pixels + 0.9 * np.exp(
+            -((xs - bx) ** 2 + (ys - by) ** 2) / (2.0 * sigma * sigma))))
+    return images, angles.tolist()
+
+
 def dyadic(x, bits=20):
     """x rounded to the 2**-bits grid."""
     return np.round(np.asarray(x, dtype=np.float64) * 2.0 ** bits) / 2.0 ** bits

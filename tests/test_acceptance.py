@@ -15,12 +15,14 @@ from microreg import (correlation_matrix, chain_probability, cyclic_shift,
                       estimate_rotation, estimate_rotation_pruned,
                       greedy_sequence, ncc, normalize, rotate,
                       rotation_score_curve, to_polar, to_probability)
-from microreg.image import circular_crop
+from microreg.cli import main, prepare_polar, prepare_reference
+from microreg.image import circular_crop, load_pgm, save_pgm
 from microreg.polar import PolarImage
-from microreg.sequencer import load_probability_csv, matrix_to_csv
+from microreg.sequencer import (load_probability_csv, load_square_csv,
+                                matrix_to_csv)
 from microreg.synthgen import FilamentSpec, synth_filament
 
-from conftest import TABLE1, asym_scene, polar_pipeline
+from conftest import TABLE1, asym_scene, growth_series, polar_pipeline
 
 ANGLES = (0.0, 15.5, 30.0, 123.5, 270.0)
 
@@ -226,3 +228,58 @@ def test_criterion_8_pipeline_determinism(tmp_path):
         assert (run_a / rel).read_bytes() == (run_b / rel).read_bytes(), rel
     print(f"PASS criterion 8: pipeline determinism "
           f"({len(rel_a)} byte-identical outputs)")
+
+
+def kendall_tau(order):
+    """Kendall tau between a sequence of distinct frame indices and time."""
+    m = len(order)
+    signs = [np.sign(order[b] - order[a])
+             for a in range(m) for b in range(a + 1, m)]
+    return float(sum(signs)) / len(signs)
+
+
+def test_growth_series_known_order(tmp_path):
+    # the paper's claim end to end: frames of a growing filament at random
+    # angles, aligned and correlated by matrix, then ordered by the greedy
+    # rule. Bounds from a sweep of seeds 1-20 at sigma 0.1 (CHANGES.md):
+    # worst angle error 0.46-1.57 deg, adjacency 0.81-1.00.
+    start = time.perf_counter()
+    images, angles = growth_series(noise_sigma=0.1, seed=1)
+    n = len(images)
+    (tmp_path / "frames").mkdir()
+    for t, img in enumerate(images):
+        save_pgm(img, tmp_path / "frames" / f"f{t:02d}.pgm")
+    grid = ["--angular", "720", "--radial", "200"]
+    assert main(["matrix", "--inputs", str(tmp_path / "frames"),
+                 "--crop", "96", *grid,
+                 "--aligned-dir", str(tmp_path / "aligned"),
+                 "--matrix-out", str(tmp_path / "matrix.csv"),
+                 "--prob-out", str(tmp_path / "probability.csv")]) == 0
+
+    # matrix records no angles, so the same estimates are taken again
+    paths = sorted((tmp_path / "frames").glob("*.pgm"))
+    plans = {}
+    ref = prepare_reference(prepare_polar(load_pgm(paths[0]), 720, 200,
+                                          plans))
+    worst = max(angular_error(estimate_rotation(ref, prepare_polar(
+        load_pgm(path), 720, 200, plans)).angle_deg, angles[t] - angles[0])
+        for t, path in enumerate(paths[1:], 1))
+
+    c = load_square_csv(tmp_path / "matrix.csv")
+    np.fill_diagonal(c, -np.inf)
+    adjacent = np.mean(np.abs(c.argmax(axis=1) - np.arange(n)) == 1)
+
+    # the paper's rule ends in a two-frame cycle within n - 2 steps
+    frames = greedy_sequence(load_probability_csv(
+        tmp_path / "probability.csv"), start=0, length=2 * n + 3).frames
+    entry = next(t for t in range(len(frames) - 2)
+                 if frames[t + 2] == frames[t])
+    visits = list(dict.fromkeys(frames))
+    elapsed = time.perf_counter() - start
+    assert worst <= 2.0, worst
+    assert adjacent >= 0.75, adjacent
+    print(f"PASS growth series: worst angle error {worst:.2f} deg, "
+          f"nearest neighbour adjacent in time {adjacent:.3f}, greedy "
+          f"cycle entry step {entry}, {len(visits)} of {n} frames visited, "
+          f"first-visit Kendall tau {kendall_tau(visits):+.2f} "
+          f"({elapsed:.1f} s)")

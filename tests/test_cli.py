@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from microreg import (Image, circular_crop, normalize, rotate,
+from microreg import (Image, circular_crop, load_pgm, normalize, rotate,
                       rotation_score_curve, save_pgm, to_polar)
 from microreg.cli import build_parser, main, prepare_polar
 from microreg.sequencer import matrix_to_csv, load_square_csv
@@ -336,6 +336,49 @@ class TestMatrixCommand:
             aligned = (tmp_path / "aligned" / f"f{i}.pgm").read_bytes()
             assert aligned == alone.read_bytes()
         assert load_square_csv(tmp_path / "m.csv").shape == (5, 5)
+
+    def run_with_ref(self, tmp_path, ref):
+        rc = main(["matrix", "--inputs", str(tmp_path / "frames"),
+                   "--ref", str(ref), "--crop", "32",
+                   "--angular", "120", "--radial", "24",
+                   "--aligned-dir", str(tmp_path / "aligned"),
+                   "--matrix-out", str(tmp_path / "m.csv"),
+                   "--prob-out", str(tmp_path / "p.csv")])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "p.csv.manifest.json").read_text())
+        assert manifest["parameters"]["ref"] == str(ref)
+
+    def test_ref_inside_inputs_is_written_unrotated(self, tmp_path):
+        inputs = tmp_path / "frames"
+        inputs.mkdir()
+        for i, angle in enumerate((0.0, 25.0, 300.0, 140.0)):
+            make_scene_pgm(inputs / f"f{i}.pgm", angle=angle, size=64)
+        # the third in sorted order, not the default first
+        self.run_with_ref(tmp_path, inputs / "f2.pgm")
+        for i in range(4):
+            written = (tmp_path / "aligned" / f"f{i}.pgm").read_bytes()
+            unchanged = written == (inputs / f"f{i}.pgm").read_bytes()
+            # save_pgm wrote the input, so loading and saving it again
+            # gives the same bytes
+            assert unchanged == (i == 2), i
+
+    def test_ref_outside_inputs_rotates_every_input(self, tmp_path):
+        inputs = tmp_path / "frames"
+        inputs.mkdir()
+        for i, angle in enumerate((0.0, 25.0, 300.0)):
+            make_scene_pgm(inputs / f"f{i}.pgm", angle=angle, size=64)
+        ref = tmp_path / "ref.pgm"
+        make_scene_pgm(ref, angle=200.0, size=64)
+        self.run_with_ref(tmp_path, ref)
+        assert sorted(p.name for p in (tmp_path / "aligned").iterdir()) \
+            == ["f0.pgm", "f1.pgm", "f2.pgm"]
+        target = load_pgm(ref).pixels
+        for i in range(3):
+            written = load_pgm(tmp_path / "aligned" / f"f{i}.pgm").pixels
+            given = load_pgm(inputs / f"f{i}.pgm").pixels
+            # turned onto the reference, not copied
+            assert np.abs(written - target).mean() \
+                < 0.5 * np.abs(given - target).mean(), i
 
     def test_too_few_inputs(self, tmp_path):
         inputs = tmp_path / "frames"

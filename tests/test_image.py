@@ -17,6 +17,56 @@ def write_pgm_bytes(path, header, payload):
     path.write_bytes(header + payload)
 
 
+def scan_pgm_header(data):
+    """Reference: the P5 header read byte by byte, with the checks and
+    messages of image._read_pgm_header."""
+    tokens = []
+    pos = 0
+    n = len(data)
+    while len(tokens) < 4 and pos < n:
+        c = data[pos:pos + 1]
+        if c.isspace():
+            pos += 1
+        elif c == b"#":
+            nl = data.find(b"\n", pos)
+            pos = n if nl < 0 else nl + 1
+        else:
+            end = pos
+            while end < n and not data[end:end + 1].isspace():
+                end += 1
+            tokens.append(data[pos:end])
+            pos = end
+    if len(tokens) < 4:
+        raise PgmFormatError("malformed header: fewer than 4 header tokens")
+    if tokens[0] != b"P5":
+        raise PgmFormatError(
+            f"unsupported format: magic {tokens[0]!r}, expected binary P5")
+    if not all(t.isdigit() for t in tokens[1:4]):
+        raise PgmFormatError("malformed header: non-numeric dimensions")
+    width, height, maxval = (int(t) for t in tokens[1:4])
+    if width < 1 or height < 1:
+        raise PgmFormatError("malformed header: non-positive dimensions")
+    if not 1 <= maxval <= 65535:
+        raise PgmFormatError(
+            f"unsupported maxval {maxval}, expected 1 to 65535")
+    return width, height, maxval, pos + 1
+
+
+def header_outcome(read, data):
+    try:
+        return read(data)
+    except PgmFormatError as exc:
+        return str(exc)
+
+
+# every ASCII whitespace byte, comments, the characters int() would accept
+# beside digits, and a byte outside ASCII
+FUZZ_HEADERS = st.one_of(
+    st.binary(max_size=40),
+    st.text(alphabet="P5 \t\n\r\x0b\x0c#0123456789+-_.e\xff",
+            max_size=40).map(lambda s: s.encode("latin-1")))
+
+
 @st.composite
 def pixels_and_masks(draw):
     h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
@@ -144,10 +194,9 @@ class TestLoadPgm:
             load_pgm(p)
 
     @settings(max_examples=200, deadline=None)
-    @given(header=st.one_of(
-        st.binary(max_size=40),
-        st.text(alphabet="P5 \t\n#0123456789+-_.e", max_size=40).map(
-            str.encode)), payload=st.binary(max_size=20))
+    @given(header=FUZZ_HEADERS, payload=st.binary(max_size=20))
+    @example(header=b"P5 4 4 #ab", payload=b"")
+    @example(header=b"P5 4 4 255#x\n", payload=bytes(16))
     def test_fuzzed_header_fails_only_with_format_error(
             self, tmp_path_factory, header, payload):
         p = tmp_path_factory.getbasetemp() / "fuzz.pgm"
@@ -157,6 +206,16 @@ class TestLoadPgm:
         except PgmFormatError:
             return
         assert img.pixels.size <= len(payload)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(data=FUZZ_HEADERS)
+    # a comment that ends the file must not give back a token
+    @example(data=b"P5 4 4 #ab")
+    @example(data=b"P5 4 4 255#x\n")
+    @example(data=b"P5\r\n# c\r\n4\t4 255\n")
+    def test_header_matches_byte_scanner(self, data):
+        assert header_outcome(image._read_pgm_header, data) \
+            == header_outcome(scan_pgm_header, data)
 
 
 class TestSavePgm:

@@ -2,7 +2,7 @@ import importlib.util
 import math
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +324,129 @@ class TestCheckMonotonicity:
     def test_too_few_frames(self, table1):
         with pytest.raises(ValueError, match="at least 2"):
             check_monotonicity(table1, [0])
+
+
+def loop_log_sum(probs):
+    total = 0.0
+    for q in probs:
+        if q == 0.0:
+            return -math.inf
+        total += math.log(q)
+    return total
+
+
+def loop_greedy_sequence(p, start, length):
+    """Reference: the greedy chain as a scan of the current row at every step."""
+    frames = [start]
+    step_probs = []
+    for _ in range(length - 1):
+        cur = frames[-1]
+        row = p.p[cur].copy()
+        row[cur] = -np.inf  # no immediate repeat
+        nxt = int(np.argmax(row))
+        frames.append(nxt)
+        step_probs.append(float(p.p[cur, nxt]))
+    return frames, step_probs, loop_log_sum(step_probs)
+
+
+def loop_monotonicity(p, frames):
+    """Reference: the monotonicity diagnostic as one comparison per pair,
+    walking back from the last frame."""
+    last = frames[-1]
+    violations = []
+    for t in range(len(frames) - 2, 0, -1):
+        nearer = p.p[last, frames[t]]
+        farther = p.p[last, frames[t - 1]]
+        if farther > nearer:
+            violations.append((t - 1, float(nearer), float(farther)))
+    return violations
+
+
+@st.composite
+def probability_tables(draw, exact=False):
+    """Probability tables, often with ties. An exact table is symmetric bit
+    for bit with a unit diagonal, as matrix writes it, and has few distinct
+    values; otherwise the lower triangle and the diagonal may move by up to
+    1e-12, which ProbabilityTable accepts."""
+    n = draw(st.integers(2, 8))
+    levels = draw(st.integers(1, 4))
+    tied = st.integers(0, levels).map(lambda k: k / levels)
+    cell = tied if exact else tied | st.floats(0.0, 1.0)
+    upper = np.triu(np.array(draw(st.lists(
+        cell, min_size=n * n, max_size=n * n))).reshape(n, n), 1)
+    table = upper + upper.T
+    np.fill_diagonal(table, 1.0)
+    if not exact and draw(st.booleans()):
+        jitter = draw(st.lists(st.floats(-9e-13, 9e-13), min_size=n * n,
+                               max_size=n * n))
+        table = np.clip(table + np.tril(np.reshape(jitter, (n, n))), 0.0, 1.0)
+    return ProbabilityTable(table)
+
+
+class TestLoopOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(p=probability_tables())
+    def test_greedy_matches_row_scan(self, p):
+        for start in range(p.n):
+            for length in range(1, 3 * p.n + 1):
+                plan = greedy_sequence(p, start, length)
+                frames, step_probs, log_prob = loop_greedy_sequence(
+                    p, start, length)
+                # repr tells int from np.int64 and -0.0 from 0.0
+                assert repr(plan.frames) == repr(frames)
+                assert repr(plan.step_probs) == repr(step_probs)
+                assert repr(plan.log_chain_prob) == repr(log_prob)
+                assert repr(chain_probability(p, frames)) == repr(log_prob)
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=probability_tables(), data=st.data())
+    def test_monotonicity_matches_pair_loop(self, p, data):
+        walks = [greedy_sequence(p, start, 3 * p.n).frames
+                 for start in range(p.n)]
+        walks += data.draw(st.lists(st.lists(
+            st.integers(0, p.n - 1), min_size=2, max_size=3 * p.n),
+            max_size=5))
+        for frames in walks:
+            found = [astuple(v) for v in check_monotonicity(p, frames)]
+            assert repr(found) == repr(loop_monotonicity(p, frames))
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=probability_tables(), data=st.data())
+    def test_chain_probability_matches_factor_loop(self, p, data):
+        frames = [data.draw(st.integers(0, p.n - 1))]
+        for step in data.draw(st.lists(st.integers(1, p.n - 1),
+                                       max_size=3 * p.n)):
+            frames.append((frames[-1] + step) % p.n)  # never a repeat
+        expected = loop_log_sum(p.p[a, b] for a, b in zip(frames, frames[1:]))
+        assert repr(chain_probability(p, frames)) == repr(expected)
+
+
+class TestGreedyTwoFrameCycle:
+    """The paper's rule on a table that is symmetric bit for bit.
+
+    Step t + 1 leaves frame f_t + 1 for its most probable other frame, which
+    is at least as probable as going back to f_t, so the step probabilities
+    never fall. A cycle of three or more frames would then need all its
+    steps equal, and ties go to the smallest index, so each frame of the
+    cycle would be below the one before it, all the way round. The chain
+    therefore ends in two frames that are each other's successor.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=probability_tables(exact=True))
+    def test_chain_ends_in_two_frame_cycle(self, p):
+        n = p.n
+        for start in range(n):
+            plan = greedy_sequence(p, start, 2 * n + 3)
+            frames = plan.frames
+            assert plan.step_probs == sorted(plan.step_probs)
+            entry = next((t for t in range(len(frames) - 2)
+                          if frames[t + 2] == frames[t]), None)
+            assert entry is not None and entry <= n - 2, frames
+            assert all(frames[t + 2] == frames[t]
+                       for t in range(entry, len(frames) - 2))
+            assert len(set(frames)) == len(set(frames[:entry + 2])) \
+                == entry + 2
 
 
 def per_cell_matrix_to_csv(values, path):
