@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -186,15 +187,18 @@ def cmd_matrix(args):
 def cmd_sequence(args):
     table = load_probability_csv(args.matrix)
     plan = greedy_sequence(table, args.start, args.length)
-    _write_json(args.plan, asdict(plan))
-
-    if args.images:
+    if args.images:  # checked before any file is written
         sources = [str(p) for p in sorted(Path(args.images).glob("*.pgm"))]
         if len(sources) != table.n:
             raise ValueError(
                 f"{args.images} holds {len(sources)} PGMs, table has {table.n}")
     else:
         sources = [f"frame_{i}" for i in range(table.n)]
+
+    record = asdict(plan)
+    if record["log_chain_prob"] == -math.inf:  # a zero-probability step
+        record["log_chain_prob"] = None  # JSON has no -Infinity
+    _write_json(args.plan, record)
     with open(args.frames, "w", encoding="ascii", newline="\n") as f:
         for idx in plan.frames:
             f.write(sources[idx] + "\n")

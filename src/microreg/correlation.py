@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,10 +30,6 @@ class NccCurve:
             raise ValueError("sample_counts shape must match scores")
         if np.abs(self.scores).max() > 1 + 1e-9:
             raise ValueError("scores must lie in [-1, 1]")
-
-    @property
-    def shifts(self) -> int:
-        return self.scores.shape[0]
 
 
 @dataclass
@@ -73,11 +68,12 @@ def _flat(ss, n, mean):
 
 
 def _masked_ncc(n, sa, sb, saa, sbb, sab, where, exact):
-    """NCC of each entry of 1-D arrays of sums over masked overlaps.
+    """NCC of each entry of sums over masked overlaps.
 
     n is the overlap size, sa and sb the sums of each side, saa and sbb their
-    sums of squares, sab the sum of products: six 1-D arrays with one entry
-    per overlap. where(i) names entry i in the error raised when an overlap
+    sums of squares, sab the sum of products: 1-D arrays, or scalars that
+    broadcast to one entry per overlap (a fully valid table passes the side
+    sums as 0.0). where(i) names entry i in the error raised when an overlap
     has fewer than 2 samples or no variance.
     exact(i) is the two-pass ncc of entry i's overlap. It replaces entries
     whose one-pass variances are ill-conditioned: saa - sa^2/n cancels when an
@@ -154,30 +150,30 @@ def _unit_grid(p: PolarImage) -> np.ndarray:
     return a
 
 
-class Reference(NamedTuple):
-    """A reference grid prepared once to score many candidates against.
+@dataclass
+class Reference(PolarImage):
+    """A polar grid prepared once to score many candidates against.
 
-    unit is the grid's _unit_grid and spectrum the conjugate rfft of unit
-    along the angle axis.
+    spectrum is the conjugate rfft, along the angle axis, of the grid's
+    _unit_grid; the unit grid itself is not kept.
     """
 
-    grid: PolarImage
-    unit: np.ndarray
     spectrum: np.ndarray
 
 
 def prepare_reference(ref: PolarImage) -> Reference:
     """Center, scale and transform a reference grid once.
 
-    A grid whose valid samples have no variance raises
-    DegenerateOverlapError, before any candidate is scored.
+    The result shares the grid's arrays when it is fully valid. A grid whose
+    valid samples have no variance raises DegenerateOverlapError, before any
+    candidate is scored.
     """
+    # unit is freed on return, after the conjugate is made: freed before it,
+    # glibc trims the heap, and warm align and matrix requests on a stack of
+    # frames then re-fault 1,000-2,400 pages each
     unit = _unit_grid(ref)
-    return Reference(ref, unit, np.fft.rfft(unit, axis=0).conj())
-
-
-def _grid(ref: PolarImage | Reference) -> PolarImage:
-    return ref.grid if isinstance(ref, Reference) else ref
+    return Reference(ref.values, ref.valid, ref.max_radius,
+                     np.fft.rfft(unit, axis=0).conj())
 
 
 def _polar_layers(p: PolarImage) -> np.ndarray:
@@ -210,12 +206,11 @@ def _full_scores(ref: Reference, cand: PolarImage) -> np.ndarray:
         raise DegenerateOverlapError("zero variance overlap at shift 0")
     fc = np.fft.rfft(b, axis=0)
     src = np.fft.irfft(np.einsum("kj,kj->k", ref.spectrum, fc),
-                       n=ref.grid.angular_samples)
+                       n=ref.angular_samples)
     return _clamp(src / np.sqrt(sbb))
 
 
-def rotation_score_curve(ref: PolarImage | Reference,
-                         cand: PolarImage) -> NccCurve:
+def rotation_score_curve(ref: PolarImage, cand: PolarImage) -> NccCurve:
     """NCC against every cyclic shift of the candidate.
 
     scores[k] pairs ref angle row i with candidate angle row (i + k) mod S,
@@ -231,19 +226,18 @@ def rotation_score_curve(ref: PolarImage | Reference,
     rare shift whose overlap is too ill-conditioned for one-pass sums is
     recomputed with the two-pass ncc over the rolled candidate.
     """
-    grid = _grid(ref)
-    _check_grids(grid, cand)
-    if grid.valid.all() and cand.valid.all():
+    _check_grids(ref, cand)
+    if ref.valid.all() and cand.valid.all():
         if not isinstance(ref, Reference):
             ref = prepare_reference(ref)
         return NccCurve(_full_scores(ref, cand),
-                        np.full(grid.angular_samples, grid.valid.size))
-    sums = _overlap_sums(grid, cand)
+                        np.full(ref.angular_samples, ref.valid.size))
+    sums = _overlap_sums(ref, cand)
 
     def exact(k):
         rolled = cyclic_shift(cand, -k)
-        both = grid.valid & rolled.valid
-        return ncc(grid.values[both], rolled.values[both])
+        both = ref.valid & rolled.valid
+        return ncc(ref.values[both], rolled.values[both])
 
     scores = _masked_ncc(*sums, "shift {}".format, exact)
     return NccCurve(scores, sums[0].astype(np.int64))
@@ -255,14 +249,13 @@ def _estimate(curve, shift, cand, op_counts=None) -> RotationEstimate:
                             float(curve.scores[shift]), curve, op_counts)
 
 
-def estimate_rotation(ref: PolarImage | Reference,
-                      cand: PolarImage) -> RotationEstimate:
+def estimate_rotation(ref: PolarImage, cand: PolarImage) -> RotationEstimate:
     """Best rotation angle: smallest shift attaining the maximum NCC."""
     curve = rotation_score_curve(ref, cand)
     return _estimate(curve, int(np.argmax(curve.scores)), cand)
 
 
-def estimate_rotation_pruned(ref: PolarImage | Reference,
+def estimate_rotation_pruned(ref: PolarImage,
                              cand: PolarImage) -> RotationEstimate:
     """Rotation estimate by successive elimination with Cauchy-Schwarz bounds.
 
@@ -278,13 +271,12 @@ def estimate_rotation_pruned(ref: PolarImage | Reference,
     dropped shifts hold the bound at the row they were dropped, not the exact
     score.
     """
-    grid = _grid(ref)
-    _check_grids(grid, cand)
-    if not (grid.valid.all() and cand.valid.all()):
+    _check_grids(ref, cand)
+    if not (ref.valid.all() and cand.valid.all()):
         raise ValueError("pruned search requires fully valid polar grids")
-    s = grid.angular_samples
-    r = grid.radial_samples
-    a = ref.unit if isinstance(ref, Reference) else _unit_grid(ref)
+    s = ref.angular_samples
+    r = ref.radial_samples
+    a = _unit_grid(ref)
     # row k + t of the doubled candidate is row (k + t) mod S, the one that
     # shift k pairs with ref row t
     b = np.tile(_unit_grid(cand), (2, 1))

@@ -234,8 +234,13 @@ def load_square_csv(path) -> np.ndarray:
     np.loadtxt parses the entries; with comments=None a '#' in a cell is an
     error, not the start of a comment.
     """
-    with open(path, "r", encoding="ascii") as f:
-        header, _, body = f.read().lstrip("\n").partition("\n")
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not an ASCII CSV ({exc.reason} at byte "
+                         f"{exc.start})") from None
+    header, _, body = text.lstrip("\n").partition("\n")
     if not body.strip("\n"):
         raise ValueError(f"{path}: empty matrix CSV")
     n = header.count(",") + 1

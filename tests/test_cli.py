@@ -436,6 +436,51 @@ class TestSequenceCommand:
         assert_one_line_error(capsys, "entry (0, 1) must be finite")
         assert not plan_path.exists()
 
+    def run_in(self, tmp_path, table, *extra):
+        """Run sequence with its default output names inside tmp_path."""
+        argv = ["sequence", "--matrix", str(table), "--start", "0",
+                "--length", "3", "--plan", str(tmp_path / "plan.json"),
+                "--frames", str(tmp_path / "frames.txt"), *extra]
+        return main(argv)
+
+    def assert_nothing_written(self, tmp_path):
+        for name in ("plan.json", "frames.txt", "frames.txt.manifest.json"):
+            assert not (tmp_path / name).exists(), name
+
+    def test_wrong_image_count_writes_nothing(self, tmp_path, capsys):
+        table = tmp_path / "table1.csv"
+        matrix_to_csv(TABLE1, table)
+        frames_dir = tmp_path / "imgs"
+        frames_dir.mkdir()
+        for i in range(3):
+            make_scene_pgm(frames_dir / f"f{i}.pgm", size=32)
+        rc = self.run_in(tmp_path, table, "--images", str(frames_dir))
+        assert rc == 2
+        assert_one_line_error(capsys, "holds 3 PGMs, table has 4")
+        self.assert_nothing_written(tmp_path)
+
+    def test_binary_table_names_the_file(self, tmp_path, capsys):
+        table = tmp_path / "frame.pgm"
+        make_scene_pgm(table, size=32)
+        rc = self.run_in(tmp_path, table)
+        assert rc == 2
+        err = assert_one_line_error(capsys, f"{table}: not an ASCII CSV")
+        assert "codec" not in err
+        self.assert_nothing_written(tmp_path)
+
+    def test_zero_probability_chain_writes_null(self, tmp_path):
+        table = tmp_path / "identity.csv"
+        matrix_to_csv(np.eye(2), table)
+        assert self.run_in(tmp_path, table) == 0
+
+        def reject(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        text = (tmp_path / "plan.json").read_text()
+        plan = json.loads(text, parse_constant=reject)
+        assert plan["log_chain_prob"] is None
+        assert plan["frames"] == [0, 1, 0] and plan["step_probs"] == [0.0, 0.0]
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):

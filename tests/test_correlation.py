@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from microreg import (DegenerateOverlapError, cyclic_shift, estimate_rotation,
                       estimate_rotation_pruned, ncc, prepare_reference,
                       rotate, rotation_score_curve)
-from microreg.correlation import _centered, _masked_ncc, _overlap_sums
+from microreg.correlation import (NccCurve, _centered, _masked_ncc,
+                                 _overlap_sums)
 from microreg.polar import PolarImage
 
 from conftest import asym_scene, dyadic, exact_affine, polar_pipeline
@@ -280,23 +281,6 @@ class TestOneSpectrumCurve:
         assert np.abs(scores - expected).max() <= 1e-12
         assert np.argmax(scores) == np.argmax(expected)
 
-    def test_prepared_reference_gives_the_same_estimate(self):
-        rng = np.random.default_rng(15)
-        ref = full_grid(rng, 40, 12)
-        prepared = prepare_reference(ref)
-        for _ in range(5):
-            cand = full_grid(rng, 40, 12)
-            est = estimate_rotation(prepared, cand)
-            plain = estimate_rotation(ref, cand)
-            assert est.shift == plain.shift
-            assert est.peak_ncc == plain.peak_ncc
-            assert np.array_equal(est.curve.scores, plain.curve.scores)
-            pruned = estimate_rotation_pruned(prepared, cand)
-            plain = estimate_rotation_pruned(ref, cand)
-            assert (pruned.shift, pruned.peak_ncc, pruned.op_counts) == (
-                plain.shift, plain.peak_ncc, plain.op_counts)
-            assert np.array_equal(pruned.curve.scores, plain.curve.scores)
-
     def test_masked_candidate_against_prepared_reference(self):
         # a prepared reference still scores masked candidates over overlaps
         rng = np.random.default_rng(16)
@@ -316,6 +300,54 @@ class TestOneSpectrumCurve:
         with pytest.raises(DegenerateOverlapError,
                            match="zero variance overlap at shift 0"):
             rotation_score_curve(prepare_reference(full_grid(rng, 8, 4)), flat)
+
+
+def scorer_outcome(search, ref, cand):
+    """What a scorer gives, as exact bits, or the error it raises."""
+    try:
+        est = search(ref, cand)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    if isinstance(est, NccCurve):
+        curve, decision = est, ()
+    else:
+        curve = est.curve
+        decision = (est.shift, repr(est.angle_deg), repr(est.peak_ncc),
+                    est.op_counts)
+    return curve.scores.tobytes(), curve.sample_counts.tobytes(), *decision
+
+
+class TestPreparedReference:
+    @settings(max_examples=150, deadline=None)
+    @given(s=st.integers(2, 48), r=st.integers(1, 12),
+           masked=st.tuples(st.booleans(), st.booleans()),
+           offsets=st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_scorers_give_the_same_bits_for_a_prepared_reference(
+            self, s, r, masked, offsets, seed):
+        rng = np.random.default_rng(seed)
+        grids = [masked_grid(rng, s, r) if m else full_grid(rng, s, r)
+                 for m in masked]
+        ref, cand = (PolarImage(g.values + offset, g.valid, g.max_radius)
+                     for g, offset in zip(grids, offsets))
+        prepared = prepare_reference(ref)
+        for search in (rotation_score_curve, estimate_rotation,
+                       estimate_rotation_pruned):
+            assert (scorer_outcome(search, prepared, cand)
+                    == scorer_outcome(search, ref, cand))
+
+    def test_is_a_polar_grid_that_shares_a_full_grid(self):
+        rng = np.random.default_rng(18)
+        full = full_grid(rng, 24, 8)
+        prepared = prepare_reference(full)
+        assert isinstance(prepared, PolarImage)
+        assert prepared.values is full.values and prepared.valid is full.valid
+        assert prepared.max_radius == full.max_radius
+        masked = masked_grid(rng, 24, 8)
+        prepared = prepare_reference(masked)
+        assert isinstance(prepared, PolarImage)
+        assert np.array_equal(prepared.values, masked.values)
+        assert np.array_equal(prepared.valid, masked.valid)
 
 
 class TestEstimateRotation:

@@ -7,8 +7,11 @@ version; the bound below was measured on Python 3.11.7 with numpy 2.4.6.
 """
 import tracemalloc
 
-from microreg import FilamentSpec, save_pgm, synth_filament
+import numpy as np
+
+from microreg import FilamentSpec, prepare_reference, save_pgm, synth_filament
 from microreg.cli import main
+from microreg.polar import PolarImage
 
 MIB = 2 ** 20
 
@@ -25,8 +28,10 @@ def traced_peak(fn, *args):
 
 
 def test_align_request_holds_under_13_mib(tmp_path):
-    # align frees its 720x200 sampling plan before it scores the candidate:
-    # 11.55 MiB on Python 3.11.7 / numpy 2.4.6, 15.70 MiB while it kept it
+    # align frees its 720x200 sampling plan before it scores the candidate,
+    # and its prepared reference keeps no unit grid: 10.41 MiB on Python
+    # 3.11.7 / numpy 2.4.6, 11.51 MiB with the unit grid held, 15.70 MiB
+    # while it also kept the plan
     paths = []
     for k, angle in enumerate((10.0, 55.0)):
         img = synth_filament(FilamentSpec(size=256, orientation_deg=angle,
@@ -40,3 +45,18 @@ def test_align_request_holds_under_13_mib(tmp_path):
             "--angular", "720", "--radial", "200"]
     assert main(argv) == 0  # a warm process, as a served request finds it
     assert traced_peak(main, argv) < 13 * MIB
+
+
+def test_prepared_reference_holds_only_its_spectrum():
+    # the reference shares the grid's arrays, and the unit grid it transforms
+    # is freed on return: no second grid-sized copy is held with it
+    shape = (720, 200)
+    grid = PolarImage(np.random.default_rng(0).standard_normal(shape),
+                      np.ones(shape, dtype=bool), 200.0)
+    tracemalloc.start()
+    try:
+        ref = prepare_reference(grid)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= ref.spectrum.nbytes + 64 * 2 ** 10
