@@ -59,21 +59,33 @@ def _about(path):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def prepare_polar(img: Image, angular: int, radial: int,
-                  plans: dict | None = None):
+def prepare_polar(img: Image, angular: int, radial: int):
     """Align preprocessing: polar resample of the raw image about its center.
 
     max_radius = min(w, h)/2 - 3 keeps every bilinear tap well inside the
     largest centered disc, so the polar grid comes out fully valid (required
     by --pruned). Nothing is cropped or normalized first: the NCC of the
     score curve re-centers and re-scales every overlap itself. The center
-    and radius depend on the frame shape alone, so a command passes one
-    plans dict (see to_polar) and samples each frame shape with one plan.
+    and radius depend on the frame shape alone, so every frame of a shape
+    is sampled with the one plan that to_polar keeps for it; a process's
+    first request builds that plan and holds it while it scores.
     """
     cx, cy = (img.width - 1) / 2.0, (img.height - 1) / 2.0
     return to_polar(img, cx, cy, angular, radial,
-                    max_radius=min(img.width, img.height) / 2.0 - 3.0,
-                    plans=plans)
+                    max_radius=min(img.width, img.height) / 2.0 - 3.0)
+
+
+def align_frame(ref, img: Image, angular: int, radial: int, search):
+    """One frame's alignment: (estimate, aligned image).
+
+    search (estimate_rotation or estimate_rotation_pruned) scores the
+    frame's polar grid against the prepared reference ref, and the frame is
+    rotated back by the angle it finds. search has no default, and the
+    other steps are looked up when called, because bench/tracing.py swaps
+    this module's names at run time.
+    """
+    est = search(ref, prepare_polar(img, angular, radial))
+    return est, rotate(img, -est.angle_deg)
 
 
 def cmd_synth(args):
@@ -113,19 +125,16 @@ def cmd_align(args):
     out_report = Path(args.report) if args.report else cand_path.with_name(
         cand_path.stem + "_report.json")
 
-    plans = {}  # a same-shaped ref and candidate share one sampling plan
     with _about(args.ref):
         # a flat reference fails here, not at a candidate
         ref = prepare_reference(prepare_polar(
-            load_pgm(args.ref), args.angular, args.radial, plans))
+            load_pgm(args.ref), args.angular, args.radial))
     with _about(args.cand):
-        cand_img = load_pgm(args.cand)
-        cand_p = prepare_polar(cand_img, args.angular, args.radial, plans)
-        del plans  # not used again: free the plan before scoring
         search = estimate_rotation_pruned if args.pruned else estimate_rotation
-        est = search(ref, cand_p)
+        est, aligned = align_frame(ref, load_pgm(args.cand), args.angular,
+                                   args.radial, search)
 
-    save_pgm(rotate(cand_img, -est.angle_deg), out_image)
+    save_pgm(aligned, out_image)
     with open(out_curve, "w", encoding="ascii", newline="\n") as f:
         f.write("shift,score\n")
         for k, score in enumerate(est.curve.scores):
@@ -149,11 +158,10 @@ def cmd_matrix(args):
     if len(paths) < 2:
         raise ValueError(f"need at least 2 PGM files in {in_dir}")
     ref_path = Path(args.ref) if args.ref else paths[0]
-    plans = {}  # one sampling plan per frame shape, for this call only
     with _about(ref_path):
         # a flat reference fails here, not at a candidate
         ref = prepare_reference(prepare_polar(
-            load_pgm(ref_path), args.angular, args.radial, plans))
+            load_pgm(ref_path), args.angular, args.radial))
 
     aligned_dir = Path(args.aligned_dir)
     aligned_dir.mkdir(parents=True, exist_ok=True)
@@ -163,9 +171,8 @@ def cmd_matrix(args):
         with _about(path):
             aligned = load_pgm(path)
             if path != ref_path:
-                est = estimate_rotation(ref, prepare_polar(
-                    aligned, args.angular, args.radial, plans))
-                aligned = rotate(aligned, -est.angle_deg)
+                _, aligned = align_frame(ref, aligned, args.angular,
+                                         args.radial, estimate_rotation)
             crops.append(center_crop(aligned, args.crop))
         out = aligned_dir / path.name
         save_pgm(aligned, out)
@@ -199,9 +206,12 @@ def cmd_sequence(args):
     if record["log_chain_prob"] == -math.inf:  # a zero-probability step
         record["log_chain_prob"] = None  # JSON has no -Infinity
     _write_json(args.plan, record)
-    with open(args.frames, "w", encoding="ascii", newline="\n") as f:
-        for idx in plan.frames:
-            f.write(sources[idx] + "\n")
+    try:
+        with open(args.frames, "w", encoding="ascii", newline="\n") as f:
+            f.writelines(sources[idx] + "\n" for idx in plan.frames)
+    except OSError:
+        Path(args.plan).unlink()  # a failed run leaves no files behind
+        raise
 
     params = {"matrix": str(args.matrix), "start": args.start,
               "length": args.length, "plan": str(args.plan),

@@ -15,7 +15,7 @@ from microreg import (correlation_matrix, chain_probability, cyclic_shift,
                       estimate_rotation, estimate_rotation_pruned,
                       greedy_sequence, ncc, normalize, rotate,
                       rotation_score_curve, to_polar, to_probability)
-from microreg.cli import main, prepare_polar, prepare_reference
+from microreg.cli import align_frame, main, prepare_polar, prepare_reference
 from microreg.image import circular_crop, load_pgm, save_pgm
 from microreg.polar import PolarImage
 from microreg.sequencer import (load_probability_csv, load_square_csv,
@@ -258,12 +258,10 @@ def test_growth_series_known_order(tmp_path):
 
     # matrix records no angles, so the same estimates are taken again
     paths = sorted((tmp_path / "frames").glob("*.pgm"))
-    plans = {}
-    ref = prepare_reference(prepare_polar(load_pgm(paths[0]), 720, 200,
-                                          plans))
-    worst = max(angular_error(estimate_rotation(ref, prepare_polar(
-        load_pgm(path), 720, 200, plans)).angle_deg, angles[t] - angles[0])
-        for t, path in enumerate(paths[1:], 1))
+    ref = prepare_reference(prepare_polar(load_pgm(paths[0]), 720, 200))
+    worst = max(angular_error(align_frame(
+        ref, load_pgm(path), 720, 200, estimate_rotation)[0].angle_deg,
+        angles[t] - angles[0]) for t, path in enumerate(paths[1:], 1))
 
     c = load_square_csv(tmp_path / "matrix.csv")
     np.fill_diagonal(c, -np.inf)

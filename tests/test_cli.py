@@ -468,6 +468,18 @@ class TestSequenceCommand:
         assert "codec" not in err
         self.assert_nothing_written(tmp_path)
 
+    def test_unopenable_frames_path_writes_nothing(self, tmp_path, capsys):
+        table = tmp_path / "table1.csv"
+        matrix_to_csv(TABLE1, table)
+        frames = tmp_path / "nodir" / "frames.txt"
+        rc = main(["sequence", "--matrix", str(table), "--start", "0",
+                   "--length", "3", "--plan", str(tmp_path / "plan.json"),
+                   "--frames", str(frames)])
+        assert rc == 2
+        assert_one_line_error(capsys, str(frames))
+        self.assert_nothing_written(tmp_path)
+        assert not (tmp_path / "nodir").exists()
+
     def test_zero_probability_chain_writes_null(self, tmp_path):
         table = tmp_path / "identity.csv"
         matrix_to_csv(np.eye(2), table)

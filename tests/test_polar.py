@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from microreg import (FilamentSpec, Image, cyclic_shift, normalize, rotate,
                       synth_filament, to_polar)
-from microreg.polar import PolarImage, polar_to_csv
+from microreg.image import bilinear_sample
+from microreg.polar import PolarImage, _polar_plan, polar_to_csv
 
 
 @st.composite
@@ -158,31 +159,69 @@ def test_polar_csv_matches_per_cell_writer(tmp_path_factory, case):
     assert out.read_bytes() == per_cell_csv(p).encode("ascii")
 
 
+def polar_oracle(img, cx, cy, s, r, max_radius):
+    """to_polar's grid sampled afresh: bilinear_sample at each (t_i, r_j)."""
+    thetas = np.deg2rad(np.arange(s) * (360.0 / s))
+    radii = (np.arange(r) + 0.5) * (max_radius / r)
+    xs = cx + radii[None, :] * np.cos(thetas)[:, None]
+    ys = cy + radii[None, :] * np.sin(thetas)[:, None]
+    values, valid = bilinear_sample(img.pixels, img.mask, xs, ys)
+    return np.where(valid, values, 0.0), valid
+
+
+def assert_same_bits(p, values, valid):
+    assert np.array_equal(p.valid, valid)
+    assert np.array_equal(p.values.view(np.int64), values.view(np.int64))
+
+
 def test_shared_plans_match_fresh_sampling():
-    # one dict serves several shapes, each with its own plan
+    # two shapes alternate, each full and masked: one plan serves each shape
     rng = np.random.default_rng(2)
-    plans = {}
-    for shape in ((21, 21), (15, 24), (21, 21), (15, 24)):
-        img = Image(rng.normal(size=shape))
+    _polar_plan.cache_clear()
+    for shape, masked in (((21, 21), False), ((15, 24), True),
+                          ((21, 21), True), ((15, 24), False),
+                          ((21, 21), False), ((15, 24), True)):
+        mask = rng.random(shape) > 0.1 if masked else None
+        img = Image(rng.normal(size=shape), mask)
         cx, cy = (shape[1] - 1) / 2.0, (shape[0] - 1) / 2.0
-        shared = to_polar(img, cx, cy, 16, 6, max_radius=6.0, plans=plans)
-        fresh = to_polar(img, cx, cy, 16, 6, max_radius=6.0)
-        assert np.array_equal(shared.values, fresh.values)
-        assert np.array_equal(shared.valid, fresh.valid)
-    assert len(plans) == 2
+        p = to_polar(img, cx, cy, 16, 6, max_radius=6.0)
+        assert_same_bits(p, *polar_oracle(img, cx, cy, 16, 6, 6.0))
+        assert p.valid.all() != masked
+    assert _polar_plan.cache_info().misses == 2
 
 
 def test_shared_plan_takes_each_frame_mask():
-    plans = {}
     img = Image(np.arange(121.0).reshape(11, 11))
-    full = to_polar(img, 5.0, 5.0, 8, 4, max_radius=4.0, plans=plans)
     mask = np.ones((11, 11), dtype=bool)
     mask[5, 6:] = False  # the ray at angle 0
-    masked = to_polar(Image(img.pixels, mask), 5.0, 5.0, 8, 4,
-                      max_radius=4.0, plans=plans)
-    fresh = to_polar(Image(img.pixels, mask), 5.0, 5.0, 8, 4, max_radius=4.0)
-    assert len(plans) == 1
-    assert full.valid.all()
-    assert not masked.valid[0].any()
-    assert np.array_equal(masked.valid, fresh.valid)
-    assert np.array_equal(masked.values, fresh.values)
+    masked = Image(img.pixels, mask)
+    for frame in (img, masked, img, masked):
+        p = to_polar(frame, 5.0, 5.0, 8, 4, max_radius=4.0)
+        assert_same_bits(p, *polar_oracle(frame, 5.0, 5.0, 8, 4, 4.0))
+        if frame is img:
+            assert p.valid.all()
+        else:
+            assert not p.valid[0].any()
+
+
+def test_kept_plan_is_read_only():
+    img = Image(np.ones((13, 13)))
+    to_polar(img, 6.0, 6.0, 8, 4, max_radius=5.0)
+    plan = _polar_plan((13, 13), 6.0, 6.0, 8, 4, 5.0)
+    for a in (plan.base, plan.weights, plan.valid):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = a.flat[0]
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_writing_a_result_leaves_the_next_alone(masked):
+    rng = np.random.default_rng(3)
+    mask = rng.random((17, 17)) > 0.2 if masked else None
+    img = Image(rng.normal(size=(17, 17)), mask)
+    first = to_polar(img, 8.0, 8.0, 12, 5, max_radius=7.0)
+    values, valid = first.values.copy(), first.valid.copy()
+    first.values[:] = 7.0
+    first.valid[:] = ~first.valid
+    assert_same_bits(to_polar(img, 8.0, 8.0, 12, 5, max_radius=7.0),
+                     values, valid)
