@@ -8,6 +8,9 @@ import numpy as np
 from .polar import PolarImage, cyclic_shift
 
 _EXCURSION = 1e-6  # raw |NCC| beyond 1 + this is a bug, not rounding
+# Every dot product and energy below is an np.einsum: without optimize it calls
+# no BLAS routine, so its sum, and every curve, does not depend on the BLAS
+# thread count.
 
 
 class DegenerateOverlapError(ValueError):
@@ -115,11 +118,12 @@ def ncc(a, b) -> float:
     mb = b.mean()
     da = a - ma
     db = b - mb
-    ssa = float(np.dot(da, da))
-    ssb = float(np.dot(db, db))
+    ssa = float(np.einsum("i,i->", da, da))
+    ssb = float(np.einsum("i,i->", db, db))
     if _flat(ssa, a.size, ma) or _flat(ssb, b.size, mb):
         raise DegenerateOverlapError("zero variance in input samples")
-    return float(_clamp(float(np.dot(da, db)) / np.sqrt(ssa * ssb)))
+    return float(_clamp(float(np.einsum("i,i->", da, db))
+                        / np.sqrt(ssa * ssb)))
 
 
 def _check_grids(ref: PolarImage, cand: PolarImage):
@@ -143,7 +147,7 @@ def _centered(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
 def _unit_grid(p: PolarImage) -> np.ndarray:
     """Valid samples centered and scaled to unit norm, zero elsewhere."""
     a = _centered(p.values, p.valid)
-    energy = np.vdot(a, a)
+    energy = np.einsum("ij,ij->", a, a)
     if _flat(energy, p.valid.sum(), 0.0):  # centered: the mean is 0
         raise DegenerateOverlapError("zero variance polar grid")
     a /= np.sqrt(energy)  # a is _centered's own array
@@ -201,7 +205,7 @@ def _full_scores(ref: Reference, cand: PolarImage) -> np.ndarray:
     correlation with the centered candidate, over the candidate's norm. A
     flat candidate fails as a zero-variance overlap at shift 0."""
     b = _centered(cand.values, cand.valid)
-    sbb = np.vdot(b, b)
+    sbb = np.einsum("ij,ij->", b, b)
     if _flat(sbb, b.size, 0.0):  # centered: the mean is 0
         raise DegenerateOverlapError("zero variance overlap at shift 0")
     fc = np.fft.rfft(b, axis=0)
@@ -294,12 +298,12 @@ def estimate_rotation_pruned(ref: PolarImage,
     for t in range(s):
         if not live.size:
             break
-        partial[live] += b[live + t] @ a[t]
+        partial[live] += np.einsum("ij,j->i", b[live + t], a[t])
         evaluated += live.size * r
         lead = live[np.argmax(partial[live])]
         if partial[lead] > best:
-            scores[lead] = partial[lead] + np.vdot(a[t + 1:],
-                                                   b[lead + t + 1:lead + s])
+            scores[lead] = partial[lead] + np.einsum(
+                "ij,ij->", a[t + 1:], b[lead + t + 1:lead + s])
             evaluated += (s - 1 - t) * r
             finished[lead] = True
             best = max(best, scores[lead])

@@ -1,7 +1,7 @@
 """Pairwise center-crop correlation, probability scaling, and frame sequencing."""
 from __future__ import annotations
 
-import io
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -89,17 +89,25 @@ def correlation_matrix(images: list[Image], crop_size: int) -> CorrelationMatrix
     every overlap is the whole crop of p pixels: V Vt is p, the centered rows
     sum to 0, and A At alone gives the rest. The rare pair whose overlap is
     too ill-conditioned for one-pass sums is recomputed with the two-pass ncc
-    of its re-cropped overlap. The diagonal is exactly 1.
+    of its re-cropped overlap. The diagonal is exactly 1. A frame already
+    crop_size square, as matrix passes its crops, is its own crop, not
+    copied again.
     """
     m = len(images)
     if m < 2:
         raise ValueError("need at least 2 images")
+
+    def cropped(img):
+        if img.pixels.shape == (crop_size, crop_size):
+            return img
+        return center_crop(img, crop_size)
+
     for idx, img in enumerate(images):
         try:
-            crop = center_crop(img, crop_size)
+            crop = cropped(img)
         except ValueError as exc:
             raise ValueError(f"image {idx}: {exc}") from exc
-        if idx == 0:  # center_crop has vetted crop_size by now
+        if idx == 0:  # crop_size is a valid crop size by now
             a = np.empty((m, crop.pixels.size))
             valid = np.empty(a.shape, dtype=bool)
         valid[idx] = crop.mask.ravel()
@@ -121,7 +129,7 @@ def correlation_matrix(images: list[Image], crop_size: int) -> CorrelationMatrix
     del valid, a  # the Gram products are all that is needed of them
 
     def exact(t):
-        ci, cj = (center_crop(images[k], crop_size) for k in (i[t], j[t]))
+        ci, cj = (cropped(images[k]) for k in (i[t], j[t]))
         both = ci.mask & cj.mask
         return ncc(ci.pixels[both], cj.pixels[both])
 
@@ -230,32 +238,46 @@ def matrix_to_csv(values: np.ndarray, path) -> None:
 def load_square_csv(path) -> np.ndarray:
     """Read a square matrix CSV written by matrix_to_csv (header row of indices).
 
-    The header's cells are counted, not read, and blank lines are skipped.
-    np.loadtxt parses the entries; with comments=None a '#' in a cell is an
-    error, not the start of a comment.
+    One streaming pass: blank lines are skipped, the header's cells are
+    counted, not read, and np.loadtxt parses the other lines as they are
+    read, so no copy of the file's text is held. With comments=None a '#' in
+    a cell is an error, not the start of a comment. Only a table that fails
+    to parse is read again, to say why.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            lines = (line for line in f if line != "\n")
+            n = next(lines, "").count(",") + 1
+            first = next(lines, None)
+            values = None if first is None else np.loadtxt(
+                itertools.chain([first], lines), delimiter=",", ndmin=2,
+                comments=None)
+    except ValueError:  # a UnicodeDecodeError is one too
+        raise ValueError(f"{path}: {_table_fault(path)}") from None
+    if values is None:
+        raise ValueError(f"{path}: empty matrix CSV")
+    if values.shape != (n, n):
+        raise ValueError(f"{path}: matrix CSV is not square")
+    return values
+
+
+def _table_fault(path) -> str:
+    """Why load_square_csv could not parse the table at path.
+
+    The file is read whole, so a non-ASCII byte is reported at its offset in
+    the file. np.loadtxt raises the same error for a ragged row and a
+    non-number, so the cells are counted to tell the two apart.
     """
     try:
         with open(path, "r", encoding="ascii") as f:
             text = f.read()
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not an ASCII CSV ({exc.reason} at byte "
-                         f"{exc.start})") from None
-    header, _, body = text.lstrip("\n").partition("\n")
-    if not body.strip("\n"):
-        raise ValueError(f"{path}: empty matrix CSV")
+        return f"not an ASCII CSV ({exc.reason} at byte {exc.start})"
+    header, *rows = [row for row in text.split("\n") if row] or [""]
     n = header.count(",") + 1
-    try:
-        values = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2,
-                            comments=None)
-    except ValueError:
-        # loadtxt raises the same error for a ragged row and a non-number
-        rows = [row for row in body.split("\n") if row]
-        if len(rows) != n or any(row.count(",") != n - 1 for row in rows):
-            raise ValueError(f"{path}: matrix CSV is not square") from None
-        raise ValueError(f"{path}: non-numeric matrix entry") from None
-    if values.shape != (n, n):
-        raise ValueError(f"{path}: matrix CSV is not square")
-    return values
+    if len(rows) != n or any(row.count(",") != n - 1 for row in rows):
+        return "matrix CSV is not square"
+    return "non-numeric matrix entry"
 
 
 def load_probability_csv(path) -> ProbabilityTable:

@@ -230,6 +230,34 @@ def test_criterion_8_pipeline_determinism(tmp_path):
           f"({len(rel_a)} byte-identical outputs)")
 
 
+def test_align_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # every sum behind a score curve is an np.einsum, which calls no BLAS
+    # routine: a BLAS dot product splits its sum across threads, and rounded
+    # curve.csv and report.json differently at 1 and 2 threads
+    for k, angle in enumerate((0.0, 33.0)):
+        save_pgm(synth_filament(FilamentSpec(
+            size=256, orientation_deg=angle, noise_sigma=0.3, seed=k)),
+            tmp_path / f"f{k}.pgm")
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(cli_env(), OPENBLAS_NUM_THREADS=threads)
+        for search in ("exhaustive", "pruned"):
+            run = tmp_path / f"{search}{threads}"
+            run.mkdir()
+            subprocess.run([
+                sys.executable, "-m", "microreg.cli", "align",
+                "--ref", "../f0.pgm", "--cand", "../f1.pgm",
+                "--out", "aligned.pgm", "--curve", "curve.csv",
+                "--report", "report.json",
+                *(["--pruned"] if search == "pruned" else [])],
+                cwd=run, check=True, capture_output=True, env=env)
+            outputs[search, threads] = {
+                p.name: p.read_bytes() for p in sorted(run.iterdir())}
+    for search in ("exhaustive", "pruned"):
+        assert len(outputs[search, "1"]) == 4
+        assert outputs[search, "1"] == outputs[search, "2"], search
+
+
 def kendall_tau(order):
     """Kendall tau between a sequence of distinct frame indices and time."""
     m = len(order)

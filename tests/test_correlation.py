@@ -237,8 +237,8 @@ def constant_sums_scores(ref, cand):
     fc = np.fft.rfft(b, axis=0)
     src = np.fft.irfft(np.einsum("kj,kj->k", prepare_reference(ref).spectrum,
                                  fc), n=s)
-    return _masked_ncc(np.full(s, float(s * r)), 0.0, 0.0, 1.0, np.vdot(b, b),
-                       src, "shift {}".format, None)
+    return _masked_ncc(np.full(s, float(s * r)), 0.0, 0.0, 1.0,
+                       np.einsum("ij,ij->", b, b), src, "shift {}".format, None)
 
 
 class TestOneSpectrumCurve:

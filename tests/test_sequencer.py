@@ -2,6 +2,7 @@ import importlib.util
 import math
 import re
 import sys
+import warnings
 from dataclasses import asdict, astuple
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from microreg import (DegenerateOverlapError, Image, ProbabilityTable,
                       correlation_matrix, greedy_sequence,
                       load_probability_csv, matrix_to_csv, ncc, normalize,
                       rotate, to_probability)
+from microreg.cli import main
 from microreg.correlation import _centered, _masked_ncc
 from microreg.sequencer import CorrelationMatrix, load_square_csv
 
@@ -40,6 +42,24 @@ class TestCorrelationMatrix:
         assert np.abs(c.values - c.values.T).max() <= 1e-12
         assert np.array_equal(np.diag(c.values), np.ones(3))
         assert np.abs(c.values).max() <= 1.0
+
+    def test_frames_of_the_crop_shape_are_not_cropped_again(self,
+                                                          monkeypatch):
+        # matrix passes crops already cut to the crop size: they enter the
+        # table as they are, with the bits the frames' own crops give
+        rng = np.random.default_rng(3)
+        frames = [Image(rng.normal(size=(24, 20))) for _ in range(4)]
+        mask = np.ones((24, 20), dtype=bool)
+        mask[10:13, 8:10] = False
+        frames.append(Image(rng.normal(size=(24, 20)), mask))
+        expected = correlation_matrix(frames, crop_size=12).values
+        crops = [center_crop(f, 12) for f in frames]
+
+        def no_crop(img, size):
+            raise AssertionError("cropped again")
+
+        monkeypatch.setattr("microreg.sequencer.center_crop", no_crop)
+        assert np.array_equal(correlation_matrix(crops, 12).values, expected)
 
     def test_needs_two_images(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -515,6 +535,35 @@ class TestCsvRoundTrip:
         pattern = f"^{re.escape(str(path))}: {message}$"
         with pytest.raises(ValueError, match=pattern):
             load_square_csv(path)
+
+    def test_non_ascii_byte_is_reported_at_its_file_offset(self, tmp_path):
+        # the table is read as a stream of lines: the offset of a byte past
+        # the first read-ahead block is still the byte's offset in the file
+        path = tmp_path / "m.csv"
+        matrix_to_csv(np.random.default_rng(5).uniform(size=(80, 80)), path)
+        data = bytearray(path.read_bytes())
+        offset = 64 * 2 ** 10 + 123
+        assert len(data) > offset + 1
+        data[offset] = 0xE9
+        path.write_bytes(bytes(data))
+        message = (f"{path}: not an ASCII CSV (ordinal not in range(128) "
+                   f"at byte {offset})")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_square_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "0,1\n", "\n0,1\n\n\n"])
+    def test_empty_table_fails_with_one_line_and_no_warning(
+            self, tmp_path, capsys, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["sequence", "--matrix", str(path), "--start", "0",
+                       "--length", "2", "--plan", str(tmp_path / "plan.json"),
+                       "--frames", str(tmp_path / "frames.txt")])
+        assert rc == 2
+        assert not caught, [str(w.message) for w in caught]
+        assert capsys.readouterr().err == f"error: {path}: empty matrix CSV\n"
 
     def test_blank_lines_and_crlf_are_read(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -12,6 +12,7 @@ import numpy as np
 from microreg import FilamentSpec, prepare_reference, save_pgm, synth_filament
 from microreg.cli import main
 from microreg.polar import PolarImage, _polar_plan
+from microreg.sequencer import load_square_csv, matrix_to_csv
 
 MIB = 2 ** 20
 
@@ -74,3 +75,32 @@ def test_prepared_reference_holds_only_its_spectrum():
     finally:
         tracemalloc.stop()
     assert held <= ref.spectrum.nbytes + 64 * 2 ** 10
+
+
+def table_csv(tmp_path):
+    """A 300-frame probability table, 1.7 MB as matrix_to_csv writes it."""
+    rng = np.random.default_rng(0)
+    p = rng.uniform(size=(300, 300))
+    p = (p + p.T) / 2.0
+    np.fill_diagonal(p, 1.0)
+    path = tmp_path / "probability.csv"
+    matrix_to_csv(p, path)
+    return path
+
+
+def test_table_load_holds_under_2_mib(tmp_path):
+    # one streaming pass holds the 0.7 MB table and loadtxt's line buffers:
+    # 0.79 MiB on Python 3.11.7 / numpy 2.4.6. Reading the whole text, a
+    # copy of its body and a StringIO of that body took 10.61 MiB.
+    path = table_csv(tmp_path)
+    assert traced_peak(load_square_csv, path) < 2 * MIB
+
+
+def test_warm_sequence_request_holds_under_4_mib(tmp_path):
+    # the table and the vetting and successor-table temporaries of a few
+    # table-sized arrays: 2.06 MiB on Python 3.11.7 / numpy 2.4.6
+    argv = ["sequence", "--matrix", str(table_csv(tmp_path)), "--start", "0",
+            "--length", "600", "--plan", str(tmp_path / "plan.json"),
+            "--frames", str(tmp_path / "frames.txt")]
+    assert main(argv) == 0
+    assert traced_peak(main, argv) < 4 * MIB
