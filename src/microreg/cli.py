@@ -75,16 +75,25 @@ def prepare_polar(img: Image, angular: int, radial: int):
                     max_radius=min(img.width, img.height) / 2.0 - 3.0)
 
 
-def align_frame(ref, img: Image, angular: int, radial: int, search):
+def load_reference(path, angular: int, radial: int):
+    """The reference PGM at path, sampled by prepare_polar and prepared once
+    to score every frame against. A file that cannot be read, or a flat
+    reference, fails here with its path, before any frame is scored."""
+    with _about(path):
+        return prepare_reference(prepare_polar(load_pgm(path), angular, radial))
+
+
+def align_frame(ref, img: Image, search):
     """One frame's alignment: (estimate, aligned image).
 
-    search (estimate_rotation or estimate_rotation_pruned) scores the
-    frame's polar grid against the prepared reference ref, and the frame is
-    rotated back by the angle it finds. search has no default, and the
-    other steps are looked up when called, because bench/tracing.py swaps
-    this module's names at run time.
+    The frame is sampled on the grid of the prepared reference ref, search
+    (estimate_rotation or estimate_rotation_pruned) scores it against ref,
+    and the frame is rotated back by the angle it finds. search has no
+    default, and the other steps are looked up when called, because
+    bench/tracing.py swaps this module's names at run time.
     """
-    est = search(ref, prepare_polar(img, angular, radial))
+    est = search(ref, prepare_polar(img, ref.angular_samples,
+                                    ref.radial_samples))
     return est, rotate(img, -est.angle_deg)
 
 
@@ -125,14 +134,10 @@ def cmd_align(args):
     out_report = Path(args.report) if args.report else cand_path.with_name(
         cand_path.stem + "_report.json")
 
-    with _about(args.ref):
-        # a flat reference fails here, not at a candidate
-        ref = prepare_reference(prepare_polar(
-            load_pgm(args.ref), args.angular, args.radial))
+    ref = load_reference(args.ref, args.angular, args.radial)
     with _about(args.cand):
         search = estimate_rotation_pruned if args.pruned else estimate_rotation
-        est, aligned = align_frame(ref, load_pgm(args.cand), args.angular,
-                                   args.radial, search)
+        est, aligned = align_frame(ref, load_pgm(args.cand), search)
 
     save_pgm(aligned, out_image)
     with open(out_curve, "w", encoding="ascii", newline="\n") as f:
@@ -142,8 +147,7 @@ def cmd_align(args):
     report = {"angle_deg": est.angle_deg, "peak_ncc": est.peak_ncc,
               "shift": est.shift}
     if est.op_counts is not None:
-        report["op_counts"] = {"evaluated": est.op_counts.evaluated,
-                               "exhaustive": est.op_counts.exhaustive}
+        report["op_counts"] = asdict(est.op_counts)
     _write_json(out_report, report)
 
     params = {"ref": str(args.ref), "cand": str(args.cand),
@@ -158,10 +162,7 @@ def cmd_matrix(args):
     if len(paths) < 2:
         raise ValueError(f"need at least 2 PGM files in {in_dir}")
     ref_path = Path(args.ref) if args.ref else paths[0]
-    with _about(ref_path):
-        # a flat reference fails here, not at a candidate
-        ref = prepare_reference(prepare_polar(
-            load_pgm(ref_path), args.angular, args.radial))
+    ref = load_reference(ref_path, args.angular, args.radial)
 
     aligned_dir = Path(args.aligned_dir)
     aligned_dir.mkdir(parents=True, exist_ok=True)
@@ -171,8 +172,7 @@ def cmd_matrix(args):
         with _about(path):
             aligned = load_pgm(path)
             if path != ref_path:
-                _, aligned = align_frame(ref, aligned, args.angular,
-                                         args.radial, estimate_rotation)
+                _, aligned = align_frame(ref, aligned, estimate_rotation)
             crops.append(center_crop(aligned, args.crop))
         out = aligned_dir / path.name
         save_pgm(aligned, out)

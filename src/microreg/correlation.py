@@ -154,30 +154,33 @@ def _unit_grid(p: PolarImage) -> np.ndarray:
     return a
 
 
-@dataclass
+@dataclass(init=False)
 class Reference(PolarImage):
     """A polar grid prepared once to score many candidates against.
 
     spectrum is the conjugate rfft, along the angle axis, of the grid's
-    _unit_grid; the unit grid itself is not kept.
+    _unit_grid; the unit grid itself is not kept. Reference(grid, spectrum)
+    shares the grid's arrays, fully valid or masked, and does not check them
+    again: a PolarImage's checks ran when it was made.
     """
 
     spectrum: np.ndarray
+
+    def __init__(self, grid: PolarImage, spectrum: np.ndarray):
+        vars(self).update(vars(grid), spectrum=spectrum)
 
 
 def prepare_reference(ref: PolarImage) -> Reference:
     """Center, scale and transform a reference grid once.
 
-    The result shares the grid's arrays when it is fully valid. A grid whose
-    valid samples have no variance raises DegenerateOverlapError, before any
-    candidate is scored.
+    The result shares the grid's arrays. A grid whose valid samples have no
+    variance raises DegenerateOverlapError, before any candidate is scored.
     """
     # unit is freed on return, after the conjugate is made: freed before it,
     # glibc trims the heap, and warm align and matrix requests on a stack of
     # frames then re-fault 1,000-2,400 pages each
     unit = _unit_grid(ref)
-    return Reference(ref.values, ref.valid, ref.max_radius,
-                     np.fft.rfft(unit, axis=0).conj())
+    return Reference(ref, np.fft.rfft(unit, axis=0).conj())
 
 
 def _polar_layers(p: PolarImage) -> np.ndarray:

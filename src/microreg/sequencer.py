@@ -22,7 +22,7 @@ def _check_unit_table(values, name: str, lo: float) -> np.ndarray:
         i, j = bad[0]
         raise ValueError(f"{name} entry ({i}, {j}) must be finite, "
                          f"got {float(v[i, j])!r}")
-    if np.abs(v - v.T).max() > 1e-12:
+    if np.abs(asym := v - v.T, out=asym).max() > 1e-12:  # one temporary
         raise ValueError(f"{name} must be symmetric")
     if np.abs(np.diag(v) - 1.0).max() > 1e-12:
         raise ValueError(f"{name} diagonal must be 1")

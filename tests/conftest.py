@@ -28,7 +28,8 @@ def asym_scene(base_deg=0.0, noise_sigma=0.0, seed=0, size=256):
     pixels = main.pixels + np.roll(np.roll(blob.pixels, dy, axis=0), dx, axis=1)
     if noise_sigma > 0:
         noise = synth_filament(FilamentSpec(
-            size=size, amplitude=0.0, noise_sigma=noise_sigma, seed=seed))
+            size=size, half_length=0.0, amplitude=0.0,
+            noise_sigma=noise_sigma, seed=seed))
         pixels = pixels + noise.pixels
     return Image(pixels)
 

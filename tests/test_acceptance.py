@@ -15,7 +15,7 @@ from microreg import (correlation_matrix, chain_probability, cyclic_shift,
                       estimate_rotation, estimate_rotation_pruned,
                       greedy_sequence, ncc, normalize, rotate,
                       rotation_score_curve, to_polar, to_probability)
-from microreg.cli import align_frame, main, prepare_polar, prepare_reference
+from microreg.cli import align_frame, load_reference, main
 from microreg.image import circular_crop, load_pgm, save_pgm
 from microreg.polar import PolarImage
 from microreg.sequencer import (load_probability_csv, load_square_csv,
@@ -286,9 +286,9 @@ def test_growth_series_known_order(tmp_path):
 
     # matrix records no angles, so the same estimates are taken again
     paths = sorted((tmp_path / "frames").glob("*.pgm"))
-    ref = prepare_reference(prepare_polar(load_pgm(paths[0]), 720, 200))
+    ref = load_reference(paths[0], 720, 200)
     worst = max(angular_error(align_frame(
-        ref, load_pgm(path), 720, 200, estimate_rotation)[0].angle_deg,
+        ref, load_pgm(path), estimate_rotation)[0].angle_deg,
         angles[t] - angles[0]) for t, path in enumerate(paths[1:], 1))
 
     c = load_square_csv(tmp_path / "matrix.csv")

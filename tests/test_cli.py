@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from microreg import (Image, circular_crop, load_pgm, normalize, rotate,
-                      rotation_score_curve, save_pgm, to_polar)
-from microreg.cli import build_parser, main, prepare_polar
+from microreg import (Image, circular_crop, estimate_rotation, load_pgm,
+                      normalize, rotate, rotation_score_curve, save_pgm,
+                      to_polar)
+from microreg.cli import (align_frame, build_parser, load_reference, main,
+                          prepare_polar)
 from microreg.sequencer import matrix_to_csv, load_square_csv
 
 from conftest import TABLE1, asym_scene
@@ -71,6 +73,26 @@ class TestPreparePolar:
         assert np.abs(curve.scores - expected.scores).max() <= 1e-12
         assert np.argmax(curve.scores) == np.argmax(expected.scores)
         assert np.array_equal(curve.sample_counts, expected.sample_counts)
+
+
+class TestLoadReference:
+    def test_frames_are_sampled_on_the_reference_grid(self, tmp_path):
+        path = tmp_path / "ref.pgm"
+        make_scene_pgm(path, size=96)
+        ref = load_reference(path, 120, 32)
+        assert (ref.angular_samples, ref.radial_samples) == (120, 32)
+        est, aligned = align_frame(ref, rotate(asym_scene(size=96), 30.0),
+                                   estimate_rotation)
+        assert est.curve.scores.shape == (120,)
+        assert abs(est.angle_deg - 30.0) <= 3.0
+        assert aligned.pixels.shape == (96, 96)
+
+    def test_flat_reference_is_named(self, tmp_path):
+        path = tmp_path / "flat.pgm"
+        write_constant_pgm(path)
+        with pytest.raises(ValueError, match="zero variance") as info:
+            load_reference(path, 90, 16)
+        assert str(info.value).startswith(f"{path}: ")
 
 
 class TestSynthCommand:

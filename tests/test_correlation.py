@@ -346,8 +346,8 @@ class TestPreparedReference:
         masked = masked_grid(rng, 24, 8)
         prepared = prepare_reference(masked)
         assert isinstance(prepared, PolarImage)
-        assert np.array_equal(prepared.values, masked.values)
-        assert np.array_equal(prepared.valid, masked.valid)
+        assert prepared.values is masked.values
+        assert prepared.valid is masked.valid
 
 
 class TestEstimateRotation:

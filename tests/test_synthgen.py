@@ -3,6 +3,8 @@ import pytest
 
 from microreg import FilamentSpec, rotate, synth_filament
 
+from conftest import asym_scene
+
 
 class TestSpecValidation:
     def test_defaults_valid(self):
@@ -73,3 +75,11 @@ class TestSynthFilament:
         b = synth_filament(FilamentSpec(size=64, half_length=20.0,
                                         orientation_deg=205.0))
         assert np.abs(a.pixels - b.pixels).max() <= 1e-9
+
+
+def test_asym_scene_takes_noise_below_160_px():
+    # the noise-only layer has no filament, so no half length bounds its size
+    clean = asym_scene(size=128)
+    noisy = asym_scene(size=128, noise_sigma=0.1, seed=1)
+    assert noisy.pixels.shape == (128, 128)
+    assert abs(np.std(noisy.pixels - clean.pixels) - 0.1) <= 0.01
