@@ -18,10 +18,10 @@ from . import __version__
 from .correlation import (estimate_rotation, estimate_rotation_pruned,
                           prepare_reference)
 # circular_crop and normalize stay imported: bench/tracing.py wraps them here
-from .image import (Image, center_crop, circular_crop,  # noqa: F401
+from .image import (Image, circular_crop,  # noqa: F401
                     load_pgm, normalize, rotate, save_pgm)
 from .polar import to_polar, polar_to_csv
-from .sequencer import (correlation_matrix, greedy_sequence,
+from .sequencer import (CropRows, correlation_matrix, greedy_sequence,
                         load_probability_csv, matrix_to_csv, to_probability)
 from .synthgen import FilamentSpec, synth_filament
 
@@ -158,22 +158,28 @@ def cmd_align(args):
 
 def cmd_matrix(args):
     in_dir = Path(args.inputs)
+    aligned_dir = Path(args.aligned_dir)
+    if aligned_dir.resolve() == in_dir.resolve():
+        raise ValueError(f"--aligned-dir {aligned_dir} is the --inputs "
+                         f"directory: the aligned frames would replace the "
+                         f"inputs")
     paths = sorted(in_dir.glob("*.pgm"))
     if len(paths) < 2:
         raise ValueError(f"need at least 2 PGM files in {in_dir}")
     ref_path = Path(args.ref) if args.ref else paths[0]
     ref = load_reference(ref_path, args.angular, args.radial)
 
-    aligned_dir = Path(args.aligned_dir)
     aligned_dir.mkdir(parents=True, exist_ok=True)
-    crops = []  # all the matrix needs; each full frame is saved, then dropped
+    # all the matrix needs: each full frame is saved, then dropped, and
+    # correlation_matrix frees the crops before the tables are written
+    crops = CropRows(len(paths), args.crop)
     outputs = []
-    for path in paths:
+    for k, path in enumerate(paths):
         with _about(path):
             aligned = load_pgm(path)
             if path != ref_path:
                 _, aligned = align_frame(ref, aligned, estimate_rotation)
-            crops.append(center_crop(aligned, args.crop))
+            crops.put(k, aligned)
         out = aligned_dir / path.name
         save_pgm(aligned, out)
         outputs.append(out)

@@ -77,61 +77,94 @@ class MonotonicityViolation:
     actual: float       # probability observed for the earlier frame
 
 
-def correlation_matrix(images: list[Image], crop_size: int) -> CorrelationMatrix:
+class CropRows:
+    """The center crops of n frames, packed as rows for correlation_matrix.
+
+    Row k of pixels (float64) and of valid (bool) is crop k in C order, the
+    order of a crop's ravel(). len() is n. The rows are allocated when the
+    first crop is put, so a crop size no frame can give allocates nothing.
+    correlation_matrix takes the rows out of the stack and frees them before
+    it returns: a fully valid stack's rows are centered in place and freed
+    as soon as their Gram product exists.
+    """
+
+    def __init__(self, n: int, size: int):
+        self.size = size
+        self._n = n
+        self.pixels = self.valid = None
+
+    def __len__(self) -> int:
+        return self._n
+
+    def put(self, k: int, img: Image) -> None:
+        """Row k becomes img's center crop. A frame already of the crop's
+        shape is its own crop, not cut again."""
+        crop = img
+        if img.pixels.shape != (self.size, self.size):
+            crop = center_crop(img, self.size)
+        if self.pixels is None:
+            self.pixels = np.empty((self._n, crop.pixels.size))
+            self.valid = np.empty(self.pixels.shape, dtype=bool)
+        self.pixels[k] = crop.pixels.ravel()
+        self.valid[k] = crop.mask.ravel()
+
+
+def correlation_matrix(images, crop_size: int) -> CorrelationMatrix:
     """NCC of the center crops for every image pair.
 
-    The crops are taken from the frames as given: NCC re-centers and
+    images is a list of frames, or a CropRows of their crops, which the call
+    uses up. The crops are taken from the frames as given: NCC re-centers and
     re-scales every overlap, so no intensity normalization comes first.
     Each pair correlates over the pixels valid in both crops. With V the
     frames x pixels validity and A the crops centered on their valid means and
     zeroed outside V, every pair's overlap sums are entries of the Gram
     products V Vt, A Vt, A^2 Vt and A At. When every crop is fully valid,
     every overlap is the whole crop of p pixels: V Vt is p, the centered rows
-    sum to 0, and A At alone gives the rest. The rare pair whose overlap is
+    sum to 0, and A At alone gives the rest; the rows are centered in place
+    and dropped once A At exists. The rare pair whose overlap is
     too ill-conditioned for one-pass sums is recomputed with the two-pass ncc
-    of its re-cropped overlap. The diagonal is exactly 1. A frame already
-    crop_size square, as matrix passes its crops, is its own crop, not
-    copied again.
+    of its overlap in the raw rows. The diagonal is exactly 1.
     """
     m = len(images)
     if m < 2:
         raise ValueError("need at least 2 images")
-
-    def cropped(img):
-        if img.pixels.shape == (crop_size, crop_size):
-            return img
-        return center_crop(img, crop_size)
-
-    for idx, img in enumerate(images):
-        try:
-            crop = cropped(img)
-        except ValueError as exc:
-            raise ValueError(f"image {idx}: {exc}") from exc
-        if idx == 0:  # crop_size is a valid crop size by now
-            a = np.empty((m, crop.pixels.size))
-            valid = np.empty(a.shape, dtype=bool)
-        valid[idx] = crop.mask.ravel()
-        a[idx] = _centered(crop.pixels, crop.mask).ravel()
+    if not isinstance(images, CropRows):
+        rows = CropRows(m, crop_size)
+        for idx, img in enumerate(images):
+            try:
+                rows.put(idx, img)
+            except ValueError as exc:
+                raise ValueError(f"image {idx}: {exc}") from exc
+        images = rows
+    pixels, valid = images.pixels, images.valid
+    images.pixels = images.valid = None  # held below only as long as needed
     i, j = np.triu_indices(m, 1)
     if valid.all():
-        g = a @ a.T
+        del valid
+        for k in range(m):  # in place, with the bits _centered gives
+            pixels[k] -= pixels[k].mean()
+        g = pixels @ pixels.T
+        n = np.full(i.size, float(pixels.shape[1]))
+        del pixels
         d = np.diag(g)
-        sums = (np.full(i.size, float(a.shape[1])), 0.0, 0.0, d[i], d[j],
-                g[i, j])
+        sums = (n, 0.0, 0.0, d[i], d[j], g[i, j])
+        del g, d
+        exact = None  # a fully valid overlap's kappa is 1: never called
     else:
+        a = np.empty(pixels.shape)
+        for k in range(m):
+            a[k] = _centered(pixels[k], valid[k])
         v = valid.astype(np.float64)
         n = (v @ v.T)[i, j]
         sab = (a @ a.T)[i, j]
         s = a @ v.T
         ss = np.square(a, out=a) @ v.T  # squared in place: a is not used again
         sums = (n, s[i, j], s[j, i], ss[i, j], ss[j, i], sab)
-        del v
-    del valid, a  # the Gram products are all that is needed of them
+        del a, v, s, ss
 
-    def exact(t):
-        ci, cj = (cropped(images[k]) for k in (i[t], j[t]))
-        both = ci.mask & cj.mask
-        return ncc(ci.pixels[both], cj.pixels[both])
+        def exact(t):  # the raw rows, in the order of a crop's boolean index
+            both = valid[i[t]] & valid[j[t]]
+            return ncc(pixels[i[t]][both], pixels[j[t]][both])
 
     upper = _masked_ncc(*sums, lambda t: f"pair ({i[t]}, {j[t]})", exact)
     values = np.eye(m)

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from microreg import (Image, circular_crop, estimate_rotation, load_pgm,
-                      normalize, rotate, rotation_score_curve, save_pgm,
-                      to_polar)
+from microreg import (Image, circular_crop, correlation_matrix,
+                      estimate_rotation, load_pgm, normalize, rotate,
+                      rotation_score_curve, save_pgm, to_polar)
 from microreg.cli import (align_frame, build_parser, load_reference, main,
                           prepare_polar)
 from microreg.sequencer import matrix_to_csv, load_square_csv
@@ -408,6 +408,50 @@ class TestMatrixCommand:
         make_scene_pgm(inputs / "only.pgm")
         rc = main(["matrix", "--inputs", str(inputs)])
         assert rc == 2
+
+    def test_aligned_dir_that_is_the_inputs_is_refused(self, tmp_path,
+                                                        capsys):
+        # two spellings of the input directory: nothing is read or written
+        inputs = tmp_path / "frames"
+        inputs.mkdir()
+        for i, angle in enumerate((0.0, 25.0, 300.0)):
+            make_scene_pgm(inputs / f"f{i}.pgm", angle=angle, size=64)
+        given = {p.name: p.read_bytes() for p in inputs.iterdir()}
+        for aligned in (inputs, inputs / ".." / "frames" / "."):
+            rc = main(["matrix", "--inputs", str(inputs), "--crop", "32",
+                       "--angular", "90", "--radial", "16",
+                       "--aligned-dir", str(aligned),
+                       "--matrix-out", str(tmp_path / "m.csv"),
+                       "--prob-out", str(tmp_path / "p.csv")])
+            assert rc == 2
+            assert_one_line_error(capsys, "--aligned-dir", "--inputs")
+            assert {p.name: p.read_bytes() for p in inputs.iterdir()} == given
+            assert not (tmp_path / "m.csv").exists()
+
+    def test_one_table_call_sized_by_the_frame_count(self, tmp_path,
+                                                      monkeypatch):
+        # the benchmark's tracer wraps microreg.cli.correlation_matrix and
+        # counts len() of its first argument, after the call, as the frames
+        inputs = tmp_path / "frames"
+        inputs.mkdir()
+        for i, angle in enumerate((0.0, 25.0, 300.0, 140.0)):
+            make_scene_pgm(inputs / f"f{i}.pgm", angle=angle, size=64)
+        calls = []
+
+        def recorded(stack, crop_size):
+            before = len(stack)
+            c = correlation_matrix(stack, crop_size)
+            calls.append((before, len(stack)))
+            return c
+
+        monkeypatch.setattr("microreg.cli.correlation_matrix", recorded)
+        rc = main(["matrix", "--inputs", str(inputs), "--crop", "32",
+                   "--angular", "90", "--radial", "16",
+                   "--aligned-dir", str(tmp_path / "aligned"),
+                   "--matrix-out", str(tmp_path / "m.csv"),
+                   "--prob-out", str(tmp_path / "p.csv")])
+        assert rc == 0
+        assert calls == [(4, 4)]
 
 
 class TestSequenceCommand:

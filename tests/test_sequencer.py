@@ -18,7 +18,7 @@ from microreg import (DegenerateOverlapError, Image, ProbabilityTable,
                       rotate, to_probability)
 from microreg.cli import main
 from microreg.correlation import _centered, _masked_ncc
-from microreg.sequencer import CorrelationMatrix, load_square_csv
+from microreg.sequencer import CorrelationMatrix, CropRows, load_square_csv
 
 from conftest import TABLE1, asym_scene, dyadic, exact_affine
 
@@ -60,6 +60,31 @@ class TestCorrelationMatrix:
 
         monkeypatch.setattr("microreg.sequencer.center_crop", no_crop)
         assert np.array_equal(correlation_matrix(crops, 12).values, expected)
+
+    def test_packed_rows_match_the_list_form(self, stack, monkeypatch):
+        frames, crop, fallbacks = stack
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return ncc(a, b)
+
+        monkeypatch.setattr("microreg.sequencer.ncc", counted)
+        expected = correlation_matrix(frames, crop).values
+        assert len(calls) == fallbacks
+        rows = CropRows(len(frames), crop)
+        for k, frame in enumerate(frames):
+            rows.put(k, frame)
+        got = correlation_matrix(rows, crop).values
+        assert len(calls) == 2 * fallbacks
+        assert np.array_equal(got, expected)
+        assert rows.pixels is None and len(rows) == len(frames)
+
+    def test_rows_centered_in_place_have_the_bits_of_centered(self):
+        crop = center_crop(asym_scene(size=64), 40)
+        row = crop.pixels.ravel().copy()
+        row -= row.mean()
+        assert np.array_equal(row, _centered(crop.pixels, crop.mask).ravel())
 
     def test_needs_two_images(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -167,6 +192,27 @@ class TestCorrelationMatrix:
         # whose NCC is exactly +-1, one frame offset by +2
         maps = [(0, 0.0)] * 4 + [(0, 2.0)]
         assert affine_invariance_error(maps, 3, 0.5, 2, 3) <= 1e-12
+
+
+@pytest.fixture(params=["fully valid", "rotated", "fallback"])
+def stack(request):
+    """(frames, crop, two-pass recomputes) of a stack: fully valid crops,
+    crops of rotated frames with their own masked corners, and a masked
+    stack whose pair (0, 1) overlaps on the left half of frame 0 only:
+    there frame 0's centered values sit near +50 with unit spread, too
+    ill-conditioned for one-pass sums."""
+    rng = np.random.default_rng(4)
+    if request.param == "fully valid":
+        return [Image(rng.normal(3.0, 2.0, (24, 20))) for _ in range(5)], 12, 0
+    if request.param == "rotated":
+        return [rotate(asym_scene(base_deg=b, size=64), a) for b, a in
+                ((0.0, 0.0), (10.0, 12.0), (40.0, 30.0), (75.0, 57.0))], 56, 0
+    step = rng.standard_normal((8, 8))
+    step[:, :4] += 100.0
+    left = np.zeros((8, 8), bool)
+    left[:, :4] = True
+    return [Image(step), Image(rng.standard_normal((8, 8)), left),
+            Image(rng.standard_normal((8, 8)))], 8, 1
 
 
 def affine_invariance_error(maps, size, keep, crop, seed):
