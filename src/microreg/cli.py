@@ -9,6 +9,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -212,11 +213,14 @@ def cmd_sequence(args):
     if record["log_chain_prob"] == -math.inf:  # a zero-probability step
         record["log_chain_prob"] = None  # JSON has no -Infinity
     _write_json(args.plan, record)
+    f = None
     try:
-        with open(args.frames, "w", encoding="ascii", newline="\n") as f:
-            f.writelines(sources[idx] + "\n" for idx in plan.frames)
-    except OSError:
+        with open(args.frames, "wb") as f:  # names as the file system's bytes
+            f.writelines(os.fsencode(sources[i]) + b"\n" for i in plan.frames)
+    except BaseException:
         Path(args.plan).unlink()  # a failed run leaves no files behind
+        if f is not None:  # opened, so truncated or partly written
+            Path(args.frames).unlink()
         raise
 
     params = {"matrix": str(args.matrix), "start": args.start,
@@ -307,7 +311,7 @@ def main(argv=None) -> int:
         params, outputs = args.func(args)
         _write_manifest(str(outputs[-1]) + ".manifest.json", args.command,
                         params, outputs)
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

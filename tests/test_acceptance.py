@@ -230,6 +230,23 @@ def test_criterion_8_pipeline_determinism(tmp_path):
           f"({len(rel_a)} byte-identical outputs)")
 
 
+def test_exit_status_crosses_the_process_boundary(tmp_path):
+    # main's return value becomes the exit status of the process
+    cli = [sys.executable, "-m", "microreg.cli"]
+    usage = subprocess.run(cli, cwd=tmp_path, capture_output=True,
+                           env=cli_env())
+    assert usage.returncode == 1
+    assert usage.stderr.startswith(b"usage error: "), usage.stderr
+    data = subprocess.run(cli + ["polar", "--input", "missing.pgm",
+                                 "--out", "p.csv"],
+                          cwd=tmp_path, capture_output=True, env=cli_env())
+    assert data.returncode == 2
+    assert data.stderr.startswith(b"error: ") \
+        and data.stderr.count(b"\n") == 1, data.stderr
+    assert b"missing.pgm" in data.stderr
+    assert not list(tmp_path.iterdir())
+
+
 def test_align_bytes_do_not_depend_on_blas_threads(tmp_path):
     # every sum behind a score curve is an np.einsum, which calls no BLAS
     # routine: a BLAS dot product splits its sum across threads, and rounded

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -168,7 +170,10 @@ class TestNonFiniteParameters:
                    "--amplitude", "1.7e308", "--background=-8.5e307",
                    "--noise", "1e307", "--out", str(out)])
         assert rc == 0
-        payload = out.read_bytes()[len(b"P5\n32 32\n255\n"):]
+        header = b"P5\n32 32\n255\n"
+        data = out.read_bytes()
+        assert data.startswith(header)
+        payload = data[len(header):]
         assert len(payload) == 32 * 32
         assert min(payload) == 0 and max(payload) == 255
 
@@ -216,7 +221,9 @@ class TestAlignCommand:
 
     def test_pruned_matches_exhaustive(self, tmp_path):
         plain, _ = self.run_align(tmp_path)
+        aligned = (tmp_path / "cand_aligned.pgm").read_bytes()
         pruned, _ = self.run_align(tmp_path, extra=("--pruned",))
+        assert (tmp_path / "cand_aligned.pgm").read_bytes() == aligned
         assert pruned["angle_deg"] == plain["angle_deg"]
         assert pruned["shift"] == plain["shift"]
         assert abs(pruned["peak_ncc"] - plain["peak_ncc"]) <= 1e-12
@@ -276,17 +283,20 @@ class TestAlignCommand:
 
 
 class TestMatrixCommand:
-    def test_builds_tables(self, tmp_path):
+    def test_builds_tables(self, tmp_path, capsys):
         inputs = tmp_path / "frames"
         inputs.mkdir()
         for i, angle in enumerate((0.0, 15.0, 350.0)):
             make_scene_pgm(inputs / f"f{i}.pgm", angle=angle)
         mat = tmp_path / "matrix.csv"
         prob = tmp_path / "probability.csv"
-        rc = main(["matrix", "--inputs", str(inputs), "--crop", "48",
-                   "--angular", "180", "--radial", "48",
-                   "--aligned-dir", str(tmp_path / "aligned"),
-                   "--matrix-out", str(mat), "--prob-out", str(prob)])
+        argv = ["matrix", "--inputs", str(inputs), "--angular", "180",
+                "--radial", "48", "--aligned-dir", str(tmp_path / "aligned"),
+                "--matrix-out", str(mat), "--prob-out", str(prob)]
+        # a crop of one pixel leaves each pair an overlap of one sample
+        assert main(argv + ["--crop", "1"]) == 2
+        assert_one_line_error(capsys, "overlap of 1 samples at pair (0, 1)")
+        rc = main(argv + ["--crop", "48"])
         assert rc == 0
         values = load_square_csv(mat)
         assert values.shape == (3, 3)
@@ -295,6 +305,27 @@ class TestMatrixCommand:
         p = load_square_csv(prob)
         assert p.min() >= 0.0 and p.max() <= 1.0
         assert len(list((tmp_path / "aligned").glob("*.pgm"))) == 3
+
+    def test_masked_crops_match_the_in_process_table(self, tmp_path):
+        # a crop of nearly the whole frame takes in the corners that rotation
+        # masks: matrix.csv is the table of the frames align_frame gives
+        inputs = tmp_path / "frames"
+        inputs.mkdir()
+        for i, angle in enumerate((0.0, 40.0, 80.0)):
+            make_scene_pgm(inputs / f"f{i}.pgm", angle=angle, size=96)
+        rc = main(["matrix", "--inputs", str(inputs), "--crop", "90",
+                   "--angular", "120", "--radial", "32",
+                   "--aligned-dir", str(tmp_path / "aligned"),
+                   "--matrix-out", str(tmp_path / "m.csv"),
+                   "--prob-out", str(tmp_path / "p.csv")])
+        assert rc == 0
+        ref = load_reference(inputs / "f0.pgm", 120, 32)
+        frames = [load_pgm(inputs / "f0.pgm")] + [
+            align_frame(ref, load_pgm(inputs / f"f{i}.pgm"),
+                        estimate_rotation)[1] for i in (1, 2)]
+        assert not all(f.mask.all() for f in frames)
+        assert np.array_equal(load_square_csv(tmp_path / "m.csv"),
+                              correlation_matrix(frames, 90).values)
 
     def test_constant_frame_is_named(self, tmp_path, capsys):
         inputs = tmp_path / "frames"
@@ -341,13 +372,17 @@ class TestMatrixCommand:
         for i, (angle, size) in enumerate(((0.0, 64), (25.0, 80), (300.0, 64),
                                            (140.0, 72), (60.0, 80))):
             make_scene_pgm(inputs / f"f{i}.pgm", angle=angle, size=size)
+        # 72 wide by 96 high, then 96 wide by 72 high
+        scene = rotate(asym_scene(size=96), 200.0).pixels
+        save_pgm(Image(scene[:, 12:84]), inputs / "f5.pgm")
+        save_pgm(Image(scene[12:84]), inputs / "f6.pgm")
         grid = ["--angular", "120", "--radial", "24"]
         rc = main(["matrix", "--inputs", str(inputs), "--crop", "32", *grid,
                    "--aligned-dir", str(tmp_path / "aligned"),
                    "--matrix-out", str(tmp_path / "m.csv"),
                    "--prob-out", str(tmp_path / "p.csv")])
         assert rc == 0
-        for i in range(1, 5):
+        for i in range(1, 7):
             alone = tmp_path / f"alone{i}.pgm"
             rc = main(["align", "--ref", str(inputs / "f0.pgm"),
                        "--cand", str(inputs / f"f{i}.pgm"), *grid,
@@ -357,7 +392,12 @@ class TestMatrixCommand:
             assert rc == 0
             aligned = (tmp_path / "aligned" / f"f{i}.pgm").read_bytes()
             assert aligned == alone.read_bytes()
-        assert load_square_csv(tmp_path / "m.csv").shape == (5, 5)
+        # the aligned frames keep their shapes
+        assert (tmp_path / "aligned" / "f5.pgm").read_bytes().startswith(
+            b"P5\n72 96\n")
+        assert (tmp_path / "aligned" / "f6.pgm").read_bytes().startswith(
+            b"P5\n96 72\n")
+        assert load_square_csv(tmp_path / "m.csv").shape == (7, 7)
 
     def run_with_ref(self, tmp_path, ref):
         rc = main(["matrix", "--inputs", str(tmp_path / "frames"),
@@ -396,11 +436,20 @@ class TestMatrixCommand:
             == ["f0.pgm", "f1.pgm", "f2.pgm"]
         target = load_pgm(ref).pixels
         for i in range(3):
-            written = load_pgm(tmp_path / "aligned" / f"f{i}.pgm").pixels
+            written = tmp_path / "aligned" / f"f{i}.pgm"
             given = load_pgm(inputs / f"f{i}.pgm").pixels
             # turned onto the reference, not copied
-            assert np.abs(written - target).mean() \
+            assert np.abs(load_pgm(written).pixels - target).mean() \
                 < 0.5 * np.abs(given - target).mean(), i
+            # and turned as align turns the frame alone
+            alone = tmp_path / f"alone{i}.pgm"
+            assert main(["align", "--ref", str(ref),
+                         "--cand", str(inputs / f"f{i}.pgm"),
+                         "--angular", "120", "--radial", "24",
+                         "--out", str(alone),
+                         "--curve", str(tmp_path / f"c{i}.csv"),
+                         "--report", str(tmp_path / f"r{i}.json")]) == 0
+            assert written.read_bytes() == alone.read_bytes(), i
 
     def test_too_few_inputs(self, tmp_path):
         inputs = tmp_path / "frames"
@@ -487,6 +536,39 @@ class TestSequenceCommand:
         lines = frames_path.read_text().splitlines()
         assert lines == [str(frames_dir / "f0.pgm"), str(frames_dir / "f1.pgm")]
 
+    def test_image_names_are_written_as_file_system_bytes(self, tmp_path):
+        table = tmp_path / "table.csv"
+        matrix_to_csv(TABLE1[:2, :2], table)
+        frames_dir = tmp_path / "imgs"
+        frames_dir.mkdir()
+        names = ["a.pgm", "\u00e9.pgm"]
+        for name in names:
+            make_scene_pgm(frames_dir / name, size=32)
+        assert self.run_in(tmp_path, table, "--images", str(frames_dir)) == 0
+        expected = [os.fsencode(str(frames_dir / names[i])) + b"\n"
+                    for i in (0, 1, 0)]
+        assert (tmp_path / "frames.txt").read_bytes() == b"".join(expected)
+
+    def test_failed_frames_write_removes_both_files(self, tmp_path, capsys,
+                                                    monkeypatch):
+        table = tmp_path / "table1.csv"
+        matrix_to_csv(TABLE1, table)
+        written = []
+
+        def fsencode(name):
+            # the disk fills up after the first name
+            if written:
+                raise OSError(28, "No space left on device")
+            written.append(name)
+            return os.fsencode(name)
+
+        monkeypatch.setattr("microreg.cli.os", SimpleNamespace(
+            fsencode=fsencode))
+        assert self.run_in(tmp_path, table) == 2
+        assert_one_line_error(capsys, "No space left on device")
+        assert written == ["frame_0"]
+        self.assert_nothing_written(tmp_path)
+
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_entry_is_data_error(self, tmp_path, capsys, bad):
@@ -558,6 +640,27 @@ class TestSequenceCommand:
         plan = json.loads(text, parse_constant=reject)
         assert plan["log_chain_prob"] is None
         assert plan["frames"] == [0, 1, 0] and plan["step_probs"] == [0.0, 0.0]
+
+
+class TestUnallocatableRequests:
+    # numpy refuses each of these 64 TiB arrays at once, after at most a
+    # few 1-D arrays of 2**21 or 2**22 samples (under the kernel's default
+    # overcommit heuristic; a host that grants any request would not refuse)
+    @pytest.mark.parametrize("command", ["synth", "polar", "align"])
+    def test_is_data_error(self, tmp_path, capsys, command):
+        src = tmp_path / "in.pgm"
+        make_scene_pgm(src, size=32)
+        grid = ["--angular", str(2**21), "--radial", str(2**22)]
+        argv = {
+            "synth": ["synth", "--size", str(2**21),
+                      "--out", str(tmp_path / "a.pgm")],
+            "polar": ["polar", "--input", str(src), *grid,
+                      "--out", str(tmp_path / "p.csv")],
+            "align": ["align", "--ref", str(src), "--cand", str(src), *grid],
+        }[command]
+        assert main(argv) == 2
+        assert_one_line_error(capsys, "Unable to allocate")
+        assert [p.name for p in tmp_path.iterdir()] == ["in.pgm"]
 
 
 class TestUsageErrors:
