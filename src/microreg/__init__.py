@@ -6,8 +6,8 @@ from .image import (Image, DegenerateImageError, PgmFormatError, center_crop,
                     circular_crop, load_pgm, normalize, rotate,
                     rotation_matrix, save_pgm)
 from .polar import PolarImage, cyclic_shift, polar_to_csv, to_polar
-from .correlation import (DegenerateOverlapError, NccCurve, OpCounts,
-                          Reference, RotationEstimate, estimate_rotation,
+from .correlation import (DegenerateOverlapError, OpCounts, Reference,
+                          RotationEstimate, estimate_rotation,
                           estimate_rotation_pruned, ncc, prepare_reference,
                           rotation_score_curve)
 from .sequencer import (CorrelationMatrix, MonotonicityViolation,

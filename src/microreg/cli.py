@@ -98,6 +98,12 @@ def align_frame(ref, img: Image, search):
     return est, rotate(img, -est.angle_deg)
 
 
+def _frame_paths(directory) -> list[Path]:
+    """The PGMs of directory, sorted: matrix's table index k and sequence's
+    frame k both name entry k of this list."""
+    return sorted(Path(directory).glob("*.pgm"))
+
+
 def cmd_synth(args):
     spec = FilamentSpec(size=args.size, orientation_deg=args.angle,
                         half_length=args.half_length,
@@ -143,7 +149,7 @@ def cmd_align(args):
     save_pgm(aligned, out_image)
     with open(out_curve, "w", encoding="ascii", newline="\n") as f:
         f.write("shift,score\n")
-        for k, score in enumerate(est.curve.scores):
+        for k, score in enumerate(est.curve):
             f.write(f"{k},{float(score)!r}\n")
     report = {"angle_deg": est.angle_deg, "peak_ncc": est.peak_ncc,
               "shift": est.shift}
@@ -164,7 +170,7 @@ def cmd_matrix(args):
         raise ValueError(f"--aligned-dir {aligned_dir} is the --inputs "
                          f"directory: the aligned frames would replace the "
                          f"inputs")
-    paths = sorted(in_dir.glob("*.pgm"))
+    paths = _frame_paths(in_dir)
     if len(paths) < 2:
         raise ValueError(f"need at least 2 PGM files in {in_dir}")
     ref_path = Path(args.ref) if args.ref else paths[0]
@@ -202,7 +208,7 @@ def cmd_sequence(args):
     table = load_probability_csv(args.matrix)
     plan = greedy_sequence(table, args.start, args.length)
     if args.images:  # checked before any file is written
-        sources = [str(p) for p in sorted(Path(args.images).glob("*.pgm"))]
+        sources = [str(p) for p in _frame_paths(args.images)]
         if len(sources) != table.n:
             raise ValueError(
                 f"{args.images} holds {len(sources)} PGMs, table has {table.n}")

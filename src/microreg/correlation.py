@@ -18,24 +18,6 @@ class DegenerateOverlapError(ValueError):
 
 
 @dataclass
-class NccCurve:
-    """Per-shift NCC scores over all cyclic shifts of the candidate."""
-
-    scores: np.ndarray
-    sample_counts: np.ndarray
-
-    def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        self.sample_counts = np.asarray(self.sample_counts, dtype=np.int64)
-        if self.scores.ndim != 1 or self.scores.size == 0:
-            raise ValueError("scores must be a non-empty 1-D array")
-        if self.sample_counts.shape != self.scores.shape:
-            raise ValueError("sample_counts shape must match scores")
-        if np.abs(self.scores).max() > 1 + 1e-9:
-            raise ValueError("scores must lie in [-1, 1]")
-
-
-@dataclass
 class OpCounts:
     """Multiply-accumulate counts for the pruned vs. exhaustive search."""
 
@@ -45,12 +27,13 @@ class OpCounts:
 
 @dataclass
 class RotationEstimate:
-    """Argmax of an NccCurve converted to degrees."""
+    """Argmax of a score curve, the float64 array of S NCC scores, as an
+    angle in degrees."""
 
     shift: int
     angle_deg: float
     peak_ncc: float
-    curve: NccCurve
+    curve: np.ndarray
     op_counts: OpCounts | None = None
 
 
@@ -217,8 +200,9 @@ def _full_scores(ref: Reference, cand: PolarImage) -> np.ndarray:
     return _clamp(src / np.sqrt(sbb))
 
 
-def rotation_score_curve(ref: PolarImage, cand: PolarImage) -> NccCurve:
-    """NCC against every cyclic shift of the candidate.
+def rotation_score_curve(ref: PolarImage, cand: PolarImage) -> np.ndarray:
+    """NCC against every cyclic shift of the candidate, as a float64 array of
+    S scores.
 
     scores[k] pairs ref angle row i with candidate angle row (i + k) mod S,
     so a candidate rotated by +angle peaks at the matching positive shift.
@@ -237,8 +221,7 @@ def rotation_score_curve(ref: PolarImage, cand: PolarImage) -> NccCurve:
     if ref.valid.all() and cand.valid.all():
         if not isinstance(ref, Reference):
             ref = prepare_reference(ref)
-        return NccCurve(_full_scores(ref, cand),
-                        np.full(ref.angular_samples, ref.valid.size))
+        return _full_scores(ref, cand)
     sums = _overlap_sums(ref, cand)
 
     def exact(k):
@@ -246,20 +229,19 @@ def rotation_score_curve(ref: PolarImage, cand: PolarImage) -> NccCurve:
         both = ref.valid & rolled.valid
         return ncc(ref.values[both], rolled.values[both])
 
-    scores = _masked_ncc(*sums, "shift {}".format, exact)
-    return NccCurve(scores, sums[0].astype(np.int64))
+    return _masked_ncc(*sums, "shift {}".format, exact)
 
 
 def _estimate(curve, shift, cand, op_counts=None) -> RotationEstimate:
     """The estimate both searches return: shift in degrees, score at shift."""
     return RotationEstimate(shift, shift * cand.angular_step_deg,
-                            float(curve.scores[shift]), curve, op_counts)
+                            float(curve[shift]), curve, op_counts)
 
 
 def estimate_rotation(ref: PolarImage, cand: PolarImage) -> RotationEstimate:
     """Best rotation angle: smallest shift attaining the maximum NCC."""
     curve = rotation_score_curve(ref, cand)
-    return _estimate(curve, int(np.argmax(curve.scores)), cand)
+    return _estimate(curve, int(np.argmax(curve)), cand)
 
 
 def estimate_rotation_pruned(ref: PolarImage,
@@ -318,7 +300,7 @@ def estimate_rotation_pruned(ref: PolarImage,
         out = bound <= best
         scores[live[out]] = bound[out]
         live = live[~out]
-    curve = NccCurve(_clamp(scores), np.full(s, s * r, dtype=np.int64))
-    shift = int(np.argmax(np.where(finished, curve.scores, -np.inf)))
+    curve = _clamp(scores)
+    shift = int(np.argmax(np.where(finished, curve, -np.inf)))
     return _estimate(curve, shift, cand,
                      OpCounts(evaluated=evaluated, exhaustive=s * s * r))

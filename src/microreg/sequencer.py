@@ -97,11 +97,8 @@ class CropRows:
         return self._n
 
     def put(self, k: int, img: Image) -> None:
-        """Row k becomes img's center crop. A frame already of the crop's
-        shape is its own crop, not cut again."""
-        crop = img
-        if img.pixels.shape != (self.size, self.size):
-            crop = center_crop(img, self.size)
+        """Row k becomes img's center crop."""
+        crop = center_crop(img, self.size)
         if self.pixels is None:
             self.pixels = np.empty((self._n, crop.pixels.size))
             self.valid = np.empty(self.pixels.shape, dtype=bool)

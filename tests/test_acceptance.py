@@ -59,8 +59,8 @@ def test_criterion_2_intensity_invariance():
         a = rng.uniform(0.1, 10.0)
         b = rng.uniform(-5.0, 5.0)
         scaled = PolarImage(a * cand_vals + b, valid, float(r))
-        diff = np.abs(rotation_score_curve(ref, cand).scores
-                      - rotation_score_curve(ref, scaled).scores).max()
+        diff = np.abs(rotation_score_curve(ref, cand)
+                      - rotation_score_curve(ref, scaled)).max()
         worst = max(worst, diff)
     assert worst <= 1e-9
     print(f"PASS criterion 2: intensity invariance (worst diff {worst:.2e})")

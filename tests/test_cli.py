@@ -72,9 +72,8 @@ class TestPreparePolar:
             assert n.max_radius == o.max_radius
         curve = rotation_score_curve(*new)
         expected = rotation_score_curve(*old)
-        assert np.abs(curve.scores - expected.scores).max() <= 1e-12
-        assert np.argmax(curve.scores) == np.argmax(expected.scores)
-        assert np.array_equal(curve.sample_counts, expected.sample_counts)
+        assert np.abs(curve - expected).max() <= 1e-12
+        assert np.argmax(curve) == np.argmax(expected)
 
 
 class TestLoadReference:
@@ -85,7 +84,7 @@ class TestLoadReference:
         assert (ref.angular_samples, ref.radial_samples) == (120, 32)
         est, aligned = align_frame(ref, rotate(asym_scene(size=96), 30.0),
                                    estimate_rotation)
-        assert est.curve.scores.shape == (120,)
+        assert est.curve.shape == (120,)
         assert abs(est.angle_deg - 30.0) <= 3.0
         assert aligned.pixels.shape == (96, 96)
 
@@ -195,6 +194,19 @@ class TestPolarCommand:
             assert rc == 0
             grids.append(np.loadtxt(out, delimiter=","))
         assert np.array_equal(grids[1], grids[0] * 256)
+
+
+    @pytest.mark.parametrize("command, grid", [
+        ("polar", ["--angular", "0"]), ("align", ["--radial", "0"])])
+    def test_empty_grid_is_data_error(self, tmp_path, capsys, command, grid):
+        src = tmp_path / "in.pgm"
+        make_scene_pgm(src, size=32)
+        argv = {"polar": ["polar", "--input", str(src),
+                          "--out", str(tmp_path / "p.csv")],
+                "align": ["align", "--ref", str(src), "--cand", str(src)]}
+        assert main(argv[command] + grid) == 2
+        assert_one_line_error(capsys, "must be >= 1")
+        assert [p.name for p in tmp_path.iterdir()] == ["in.pgm"]
 
 
 class TestAlignCommand:
@@ -605,6 +617,13 @@ class TestSequenceCommand:
         rc = self.run_in(tmp_path, table, "--images", str(frames_dir))
         assert rc == 2
         assert_one_line_error(capsys, "holds 3 PGMs, table has 4")
+        self.assert_nothing_written(tmp_path)
+
+    def test_zero_length_writes_nothing(self, tmp_path, capsys):
+        table = tmp_path / "table1.csv"
+        matrix_to_csv(TABLE1, table)
+        assert self.run_in(tmp_path, table, "--length", "0") == 2
+        assert_one_line_error(capsys, "length must be >= 1")
         self.assert_nothing_written(tmp_path)
 
     def test_binary_table_names_the_file(self, tmp_path, capsys):

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from microreg import (DegenerateOverlapError, cyclic_shift, estimate_rotation,
                       estimate_rotation_pruned, ncc, prepare_reference,
                       rotate, rotation_score_curve)
-from microreg.correlation import (NccCurve, _centered, _masked_ncc,
-                                 _overlap_sums)
+from microreg.correlation import (_centered, _clamp, _masked_ncc,
+                                  _overlap_sums)
 from microreg.polar import PolarImage
 
 from conftest import asym_scene, dyadic, exact_affine, polar_pipeline
@@ -39,6 +39,14 @@ class TestNcc:
     def test_anticorrelation(self):
         a = np.array([1.0, 2.0, 7.0])
         assert ncc(a, -a) == pytest.approx(-1.0, abs=1e-12)
+
+    def test_clamp_clips_rounding_and_refuses_excursions(self):
+        assert np.array_equal(_clamp([1 + 1e-7, -1 - 1e-7, 0.5]),
+                              [1.0, -1.0, 0.5])
+        with pytest.raises(RuntimeError,
+                           match=r"^NCC excursion beyond rounding tolerance: "
+                                 r"1\.00001$"):
+            _clamp([0.5, 1.00001])
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
@@ -88,21 +96,21 @@ class TestRotationScoreCurve:
         rng = np.random.default_rng(1)
         p = masked_grid(rng)
         curve = rotation_score_curve(p, p)
-        assert curve.scores[0] == pytest.approx(1.0, abs=1e-12)
-        assert np.argmax(curve.scores) == 0
+        assert curve[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.argmax(curve) == 0
 
     def test_exact_shift_recovered(self):
         rng = np.random.default_rng(2)
         p = full_grid(rng)
         curve = rotation_score_curve(p, cyclic_shift(p, 7))
-        assert np.argmax(curve.scores) == 7
-        assert curve.scores[7] == pytest.approx(1.0, abs=1e-12)
+        assert np.argmax(curve) == 7
+        assert curve[7] == pytest.approx(1.0, abs=1e-12)
 
     def test_scores_bounded(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             curve = rotation_score_curve(masked_grid(rng), masked_grid(rng))
-            assert np.abs(curve.scores).max() <= 1 + 1e-9
+            assert np.abs(curve).max() <= 1 + 1e-9
 
     def test_affine_intensity_invariance(self):
         rng = np.random.default_rng(4)
@@ -112,19 +120,29 @@ class TestRotationScoreCurve:
             a = rng.uniform(0.1, 10)
             b = rng.uniform(-5, 5)
             scaled = PolarImage(a * cand.values + b, cand.valid, cand.max_radius)
-            base = rotation_score_curve(ref, cand).scores
-            assert np.abs(rotation_score_curve(ref, scaled).scores
-                          - base).max() <= 1e-9
+            base = rotation_score_curve(ref, cand)
+            scores = rotation_score_curve(ref, scaled)
+            assert np.abs(scores - base).max() <= 1e-9
 
     def test_shift_consistency(self):
         rng = np.random.default_rng(5)
         ref = full_grid(rng)
         cand = full_grid(rng)
-        k0 = int(np.argmax(rotation_score_curve(ref, cand).scores))
+        k0 = int(np.argmax(rotation_score_curve(ref, cand)))
         for m in (1, 5, 11):
             km = int(np.argmax(rotation_score_curve(
-                ref, cyclic_shift(cand, m)).scores))
+                ref, cyclic_shift(cand, m))))
             assert km == (k0 + m) % ref.angular_samples
+
+    def test_curves_are_float64_arrays_of_s_scores(self):
+        rng = np.random.default_rng(19)
+        full, masked = full_grid(rng, 24, 8), masked_grid(rng, 24, 8)
+        for curve in (rotation_score_curve(full, full_grid(rng, 24, 8)),
+                      rotation_score_curve(masked, full),
+                      estimate_rotation(full, masked).curve,
+                      estimate_rotation_pruned(full, full).curve):
+            assert isinstance(curve, np.ndarray)
+            assert curve.dtype == np.float64 and curve.shape == (24,)
 
     def test_grid_mismatch(self):
         rng = np.random.default_rng(6)
@@ -139,6 +157,19 @@ class TestRotationScoreCurve:
         q = PolarImage(np.ones((4, 3)), valid, 3.0)
         with pytest.raises(DegenerateOverlapError, match="shift"):
             rotation_score_curve(p, q)
+        # shift k sees candidate row k alone. Row 2 spreads by 1e-5 about
+        # 1e8: the one-pass sums of the centered grid find variance there,
+        # and the two-pass recompute of the raw row finds a constant
+        rng = np.random.default_rng(20)
+        valid = np.zeros((4, 6), bool)
+        valid[0] = True
+        ref = PolarImage(rng.standard_normal((4, 6)), valid, 6.0)
+        values = 1e8 + 5.0 + rng.standard_normal((4, 6))
+        values[2] = 1e8 + 1e-5 * np.array([0, 1, -1, 2, 0, -2])
+        cand = PolarImage(values, np.ones((4, 6), bool), 6.0)
+        with pytest.raises(DegenerateOverlapError,
+                           match="^zero variance overlap at shift 2$"):
+            rotation_score_curve(ref, cand)
 
 
 def brute_force_curve(ref, cand):
@@ -169,11 +200,7 @@ class TestScoreCurveOracle:
             ref = offset_scaled_grid(rng, s, r)
             cand = offset_scaled_grid(rng, s, r)
             curve = rotation_score_curve(ref, cand)
-            assert np.abs(curve.scores
-                          - brute_force_curve(ref, cand)).max() <= 1e-12
-            expected_counts = [(ref.valid & np.roll(cand.valid, -k, axis=0)).sum()
-                               for k in range(s)]
-            assert np.array_equal(curve.sample_counts, expected_counts)
+            assert np.abs(curve - brute_force_curve(ref, cand)).max() <= 1e-12
 
     @pytest.mark.parametrize("i", range(len(ANGLES)))
     def test_matches_brute_force_on_paper_grid_scenes(self, i):
@@ -181,7 +208,7 @@ class TestScoreCurveOracle:
         ref = polar_pipeline(asym_scene(seed=500 + i), 720, 200)
         cand = polar_pipeline(rotate(asym_scene(seed=600 + i), ANGLES[i]),
                               720, 200)
-        scores = rotation_score_curve(ref, cand).scores
+        scores = rotation_score_curve(ref, cand)
         expected = brute_force_curve(ref, cand)
         assert np.abs(scores - expected).max() <= 1e-12
         assert np.argmax(scores) == np.argmax(expected)
@@ -196,9 +223,7 @@ class TestScoreCurveOracle:
         cand = masked_grid(rng, s, r, keep)
         base = rotation_score_curve(ref, cand)
         shifted = rotation_score_curve(ref, cyclic_shift(cand, k))
-        assert np.abs(shifted.scores - np.roll(base.scores, k)).max() <= 1e-12
-        assert np.array_equal(shifted.sample_counts,
-                              np.roll(base.sample_counts, k))
+        assert np.abs(shifted - np.roll(base, k)).max() <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(s=st.integers(2, 40), r=st.integers(1, 12),
@@ -217,8 +242,7 @@ class TestScoreCurveOracle:
                  for g, e, b in zip(grids, scale_exps, offsets)]
         base = rotation_score_curve(*grids)
         curve = rotation_score_curve(*moved)
-        assert np.abs(curve.scores - base.scores).max() <= 1e-12
-        assert np.array_equal(curve.sample_counts, base.sample_counts)
+        assert np.abs(curve - base).max() <= 1e-12
 
 
 def six_spectrum_scores(ref, cand):
@@ -262,10 +286,9 @@ class TestOneSpectrumCurve:
         constant_sums = constant_sums_scores(ref, cand)
         for reference in (ref, prepare_reference(ref)):
             curve = rotation_score_curve(reference, cand)
-            assert np.array_equal(curve.scores, constant_sums)
-            assert np.abs(curve.scores - expected).max() <= 1e-12
-            assert np.argmax(curve.scores) == np.argmax(expected)
-            assert np.array_equal(curve.sample_counts, np.full(s, s * r))
+            assert np.array_equal(curve, constant_sums)
+            assert np.abs(curve - expected).max() <= 1e-12
+            assert np.argmax(curve) == np.argmax(expected)
 
     @pytest.mark.parametrize("i", range(len(ANGLES)))
     def test_matches_six_spectrum_curve_on_paper_grid_scenes(self, i):
@@ -275,7 +298,7 @@ class TestOneSpectrumCurve:
                                      ANGLES[i]), 720, 200)
         constant_sums = constant_sums_scores(ref, cand)
         for reference in (ref, prepare_reference(ref)):
-            scores = rotation_score_curve(reference, cand).scores
+            scores = rotation_score_curve(reference, cand)
             assert np.array_equal(scores, constant_sums)
         expected = six_spectrum_scores(ref, cand)
         assert np.abs(scores - expected).max() <= 1e-12
@@ -286,7 +309,7 @@ class TestOneSpectrumCurve:
         rng = np.random.default_rng(16)
         ref = full_grid(rng)
         cand = masked_grid(rng)
-        scores = rotation_score_curve(prepare_reference(ref), cand).scores
+        scores = rotation_score_curve(prepare_reference(ref), cand)
         assert np.abs(scores - brute_force_curve(ref, cand)).max() <= 1e-12
 
     def test_flat_reference_fails_when_prepared(self):
@@ -308,13 +331,13 @@ def scorer_outcome(search, ref, cand):
         est = search(ref, cand)
     except (ValueError, RuntimeError) as exc:
         return type(exc), str(exc)
-    if isinstance(est, NccCurve):
+    if isinstance(est, np.ndarray):
         curve, decision = est, ()
     else:
         curve = est.curve
         decision = (est.shift, repr(est.angle_deg), repr(est.peak_ncc),
                     est.op_counts)
-    return curve.scores.tobytes(), curve.sample_counts.tobytes(), *decision
+    return curve.tobytes(), *decision
 
 
 class TestPreparedReference:
@@ -358,7 +381,7 @@ class TestEstimateRotation:
         assert est.shift == 0
         assert est.angle_deg == 0.0
         assert est.peak_ncc == pytest.approx(1.0, abs=1e-12)
-        assert est.peak_ncc == est.curve.scores[est.shift]
+        assert est.peak_ncc == est.curve[est.shift]
 
     def test_angle_from_shift(self):
         rng = np.random.default_rng(8)
@@ -413,8 +436,8 @@ class TestEstimateRotationPruned:
         a = full_grid(rng, 24, 8)
         b = full_grid(rng, 24, 8)
         est = estimate_rotation_pruned(a, b)
-        assert est.peak_ncc == est.curve.scores[est.shift]
-        assert est.peak_ncc == est.curve.scores.max()
+        assert est.peak_ncc == est.curve[est.shift]
+        assert est.peak_ncc == est.curve.max()
 
     def test_rejects_invalid_samples(self):
         rng = np.random.default_rng(12)
@@ -448,6 +471,6 @@ class TestEstimateRotationPruned:
         assert pruned.shift == exact.shift
         assert abs(pruned.peak_ncc - exact.peak_ncc) <= 1e-12
         assert pruned.op_counts.evaluated <= pruned.op_counts.exhaustive
-        assert pruned.peak_ncc == pruned.curve.scores.max()
+        assert pruned.peak_ncc == pruned.curve.max()
         # entries of dropped shifts are upper bounds of their exact scores
-        assert (pruned.curve.scores >= exact.curve.scores - 1e-12).all()
+        assert (pruned.curve >= exact.curve - 1e-12).all()

@@ -106,6 +106,19 @@ class TestImage:
         assert np.array_equal(pixels.view(np.int64), held.view(np.int64))
 
 
+    @pytest.mark.parametrize("pixels, mask, message", [
+        (np.ones(3), None, "non-empty 2-D"),
+        (np.ones((0, 3)), None, "non-empty 2-D"),
+        (np.array([[1.0, np.nan]]), None, "finite"),
+        (np.array([[1.0, np.inf]]), None, "finite"),
+        (np.ones((2, 2)), np.ones((2, 3), bool), "mask shape"),
+        (np.ones((2, 2)), np.zeros((2, 2), bool), "at least one pixel"),
+    ])
+    def test_rejects_arrays_it_cannot_hold(self, pixels, mask, message):
+        with pytest.raises(ValueError, match=message):
+            Image(pixels, mask)
+
+
 class TestLoadPgm:
     def test_raw_byte_mapping(self, tmp_path):
         p = tmp_path / "a.pgm"
@@ -180,9 +193,13 @@ class TestLoadPgm:
 
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "a.pgm"
-        p.write_bytes(b"P5 2")
-        with pytest.raises(PgmFormatError, match="malformed header"):
-            load_pgm(p)
+        for data, message in ((b"P5 2", "fewer than 4"),
+                              (b"P5\n0 4\n255\n", "non-positive"),
+                              (b"P5\n4 0\n255\n", "non-positive")):
+            p.write_bytes(data)
+            with pytest.raises(PgmFormatError,
+                               match=f"malformed header: {message}"):
+                load_pgm(p)
 
     @pytest.mark.parametrize("header", [b"P5 1_6 1 255\n", b"P5 +16 1 255\n",
                                         b"P5 16 1 2_55\n"])
@@ -365,6 +382,16 @@ class TestCircularCrop:
         img = Image(np.ones((10, 10)))
         with pytest.raises(ValueError, match="outside"):
             circular_crop(img, 100.0, 100.0, 3.0)
+        # a disc inside the image whose every pixel is masked out
+        mask = np.ones((10, 10), dtype=bool)
+        mask[3:8, 3:8] = False
+        with pytest.raises(ValueError, match="outside"):
+            circular_crop(Image(np.ones((10, 10)), mask), 5.0, 5.0, 1.5)
+
+    @pytest.mark.parametrize("radius", (0.0, -1.0))
+    def test_radius_must_be_positive(self, radius):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            circular_crop(Image(np.ones((10, 10))), 5.0, 5.0, radius)
 
     @pytest.mark.parametrize("masked", (False, True))
     @pytest.mark.parametrize("radius", (2.0, 10.0))

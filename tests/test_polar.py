@@ -36,6 +36,20 @@ class TestPolarImage:
         assert not p.values[~valid].view(np.int64).any()  # +0.0 bits
 
 
+    @pytest.mark.parametrize("values, valid, max_radius, message", [
+        (np.ones(3), np.ones(3, bool), 1.0, "non-empty 2-D"),
+        (np.ones((0, 2)), np.ones((0, 2), bool), 1.0, "non-empty 2-D"),
+        (np.ones((2, 2)), np.ones((2, 3), bool), 1.0, "valid shape"),
+        (np.ones((2, 2)), np.ones((2, 2), bool), 0.0, "max_radius"),
+        (np.ones((2, 2)), np.ones((2, 2), bool), -1.0, "max_radius"),
+        (np.array([[1.0, np.nan]]), np.ones((1, 2), bool), 1.0, "finite"),
+    ])
+    def test_rejects_grids_it_cannot_hold(self, values, valid, max_radius,
+                                          message):
+        with pytest.raises(ValueError, match=message):
+            PolarImage(values, valid, max_radius)
+
+
 class TestToPolar:
     def test_constant_image_all_samples_constant(self):
         img = Image(np.full((21, 21), 3.5))
@@ -54,6 +68,11 @@ class TestToPolar:
         p = to_polar(img, 5.0, 5.0, 8, 10, max_radius=30.0)
         assert not p.valid[:, -1].any()
         assert p.valid[:, 0].all()
+
+    @pytest.mark.parametrize("angular, radial", [(0, 4), (8, 0)])
+    def test_empty_grid_raises(self, angular, radial):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            to_polar(Image(np.ones((11, 11))), 5.0, 5.0, angular, radial)
 
     def test_all_invalid_raises(self):
         img = Image(np.ones((11, 11)))

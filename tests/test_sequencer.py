@@ -43,10 +43,8 @@ class TestCorrelationMatrix:
         assert np.array_equal(np.diag(c.values), np.ones(3))
         assert np.abs(c.values).max() <= 1.0
 
-    def test_frames_of_the_crop_shape_are_not_cropped_again(self,
-                                                          monkeypatch):
-        # matrix passes crops already cut to the crop size: they enter the
-        # table as they are, with the bits the frames' own crops give
+    def test_frames_of_the_crop_shape_give_the_same_table(self):
+        # a frame of the crop's shape is its own center crop
         rng = np.random.default_rng(3)
         frames = [Image(rng.normal(size=(24, 20))) for _ in range(4)]
         mask = np.ones((24, 20), dtype=bool)
@@ -54,11 +52,6 @@ class TestCorrelationMatrix:
         frames.append(Image(rng.normal(size=(24, 20)), mask))
         expected = correlation_matrix(frames, crop_size=12).values
         crops = [center_crop(f, 12) for f in frames]
-
-        def no_crop(img, size):
-            raise AssertionError("cropped again")
-
-        monkeypatch.setattr("microreg.sequencer.center_crop", no_crop)
         assert np.array_equal(correlation_matrix(crops, 12).values, expected)
 
     def test_packed_rows_match_the_list_form(self, stack, monkeypatch):
@@ -98,6 +91,10 @@ class TestCorrelationMatrix:
         flat_center[4:12, 4:12] = 0.0
         with pytest.raises((ValueError, DegenerateOverlapError), match=r"\d"):
             correlation_matrix([good, Image(flat_center)], crop_size=8)
+        # a crop the frame cannot give, named by the frame's index
+        with pytest.raises(ValueError, match="^image 1: crop size 6 out of "
+                                             "range for 4x4 image$"):
+            correlation_matrix([good, Image(np.ones((4, 4)))], crop_size=6)
 
 
     def test_matches_pairwise_ncc_on_rotated_frames(self):
@@ -348,6 +345,10 @@ class TestGreedySequence:
         with pytest.raises(ValueError, match="out of range"):
             greedy_sequence(table1, start=4, length=2)
 
+    def test_zero_length(self, table1):
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            greedy_sequence(table1, start=0, length=0)
+
 
 class TestChainProbability:
     def test_table1_sequence(self, table1):
@@ -368,6 +369,10 @@ class TestChainProbability:
     def test_invalid_index(self, table1):
         with pytest.raises(ValueError, match="out of range"):
             chain_probability(table1, [0, 9])
+
+    def test_empty_sequence_rejected(self, table1):
+        with pytest.raises(ValueError, match="must not be empty"):
+            chain_probability(table1, [])
 
 
 class TestCheckMonotonicity:
