@@ -60,6 +60,15 @@ def _about(path):
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _check_grid(args) -> None:
+    """Refuse a polar grid of S or R below 1 by its option, before any file
+    is read."""
+    for option in ("angular", "radial"):
+        if getattr(args, option) < 1:
+            raise ValueError(f"--{option} must be >= 1, got "
+                             f"{getattr(args, option)}")
+
+
 def prepare_polar(img: Image, angular: int, radial: int):
     """Align preprocessing: polar resample of the raw image about its center.
 
@@ -119,6 +128,7 @@ def cmd_synth(args):
 
 
 def cmd_polar(args):
+    _check_grid(args)
     img = load_pgm(args.input)
     if args.center is not None:
         cx, cy = args.center
@@ -133,6 +143,7 @@ def cmd_polar(args):
 
 
 def cmd_align(args):
+    _check_grid(args)
     cand_path = Path(args.cand)
     out_image = Path(args.out) if args.out else cand_path.with_name(
         cand_path.stem + "_aligned.pgm")
@@ -164,6 +175,7 @@ def cmd_align(args):
 
 
 def cmd_matrix(args):
+    _check_grid(args)
     in_dir = Path(args.inputs)
     aligned_dir = Path(args.aligned_dir)
     if aligned_dir.resolve() == in_dir.resolve():

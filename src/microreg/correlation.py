@@ -266,13 +266,13 @@ def estimate_rotation_pruned(ref: PolarImage,
     s = ref.angular_samples
     r = ref.radial_samples
     a = _unit_grid(ref)
-    # row k + t of the doubled candidate is row (k + t) mod S, the one that
-    # shift k pairs with ref row t
-    b = np.tile(_unit_grid(cand), (2, 1))
+    # the search holds the two unit grids and no doubled copy: shift k pairs
+    # ref row t with candidate row (k + t) mod S, which take reads with wrap
+    b = _unit_grid(cand)
     # rest_a[t]: energy of ref rows t+1..S-1; shift k's candidate rows after
-    # row t hold cum_b[k + S] - cum_b[k + t + 1]
+    # row t hold cum_b[k + S] - cum_b[k + t + 1], over b's row energies twice
     rest_a = np.append(np.cumsum((a * a).sum(axis=1)[:0:-1])[::-1], 0.0)
-    cum_b = np.concatenate([[0.0], np.cumsum((b * b).sum(axis=1))])
+    cum_b = np.append(0.0, np.cumsum(np.tile((b * b).sum(axis=1), 2)))
 
     scores = np.empty(s, dtype=np.float64)
     partial = np.zeros(s, dtype=np.float64)
@@ -283,12 +283,14 @@ def estimate_rotation_pruned(ref: PolarImage,
     for t in range(s):
         if not live.size:
             break
-        partial[live] += np.einsum("ij,j->i", b[live + t], a[t])
+        partial[live] += np.einsum(
+            "ij,j->i", b.take(live + t, axis=0, mode="wrap"), a[t])
         evaluated += live.size * r
         lead = live[np.argmax(partial[live])]
         if partial[lead] > best:
+            rest = np.arange(lead + t + 1, lead + s)  # rows after t, mod S
             scores[lead] = partial[lead] + np.einsum(
-                "ij,ij->", a[t + 1:], b[lead + t + 1:lead + s])
+                "ij,ij->", a[t + 1:], b.take(rest, axis=0, mode="wrap"))
             evaluated += (s - 1 - t) * r
             finished[lead] = True
             best = max(best, scores[lead])

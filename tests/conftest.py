@@ -4,6 +4,7 @@ import pytest
 from microreg import FilamentSpec, Image, synth_filament
 # the CLI's align preprocessing, under the name the tests use
 from microreg.cli import prepare_polar as polar_pipeline  # noqa: F401
+from microreg.correlation import OpCounts, _clamp, _unit_grid
 
 # the worked transition-probability table used across sequencing tests
 TABLE1 = np.array([
@@ -78,6 +79,54 @@ def exact_affine(values, scale_exp, offset):
     b = 50 and a = 0.01 that alone moves an NCC over a few samples by ~1e-11.
     """
     return 2.0 ** scale_exp * values + dyadic(offset, 26)
+
+
+def doubled_grid_pruned(ref, cand):
+    """The pruned search as it read the candidate from a doubled copy of its
+    unit grid, where row k + t is row (k + t) mod S: the reference for
+    estimate_rotation_pruned, which reads the one unit grid modulo S."""
+    s, r = ref.angular_samples, ref.radial_samples
+    a = _unit_grid(ref)
+    b = np.tile(_unit_grid(cand), (2, 1))
+    rest_a = np.append(np.cumsum((a * a).sum(axis=1)[:0:-1])[::-1], 0.0)
+    cum_b = np.concatenate([[0.0], np.cumsum((b * b).sum(axis=1))])
+    scores = np.empty(s, dtype=np.float64)
+    partial = np.zeros(s, dtype=np.float64)
+    finished = np.zeros(s, dtype=bool)
+    live = np.arange(s)
+    best = -np.inf
+    evaluated = 0
+    for t in range(s):
+        if not live.size:
+            break
+        partial[live] += np.einsum("ij,j->i", b[live + t], a[t])
+        evaluated += live.size * r
+        lead = live[np.argmax(partial[live])]
+        if partial[lead] > best:
+            scores[lead] = partial[lead] + np.einsum(
+                "ij,ij->", a[t + 1:], b[lead + t + 1:lead + s])
+            evaluated += (s - 1 - t) * r
+            finished[lead] = True
+            best = max(best, scores[lead])
+            live = live[live != lead]
+        bound = partial[live] + np.sqrt(rest_a[t] * np.maximum(
+            cum_b[live + s] - cum_b[live + t + 1], 0.0))
+        out = bound <= best
+        scores[live[out]] = bound[out]
+        live = live[~out]
+    curve = _clamp(scores)
+    shift = int(np.argmax(np.where(finished, curve, -np.inf)))
+    return shift, curve, OpCounts(evaluated, s * s * r)
+
+
+def assert_same_as_doubled_grid(est, ref, cand):
+    """est, the pruned search of (ref, cand), has the doubled-grid loop's
+    shift, curve bits, bound entries of dropped shifts included, and op
+    counts."""
+    shift, curve, counts = doubled_grid_pruned(ref, cand)
+    assert est.shift == shift
+    assert est.curve.tobytes() == curve.tobytes()
+    assert est.op_counts == counts
 
 
 @pytest.fixture

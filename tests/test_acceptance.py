@@ -22,7 +22,8 @@ from microreg.sequencer import (load_probability_csv, load_square_csv,
                                 matrix_to_csv)
 from microreg.synthgen import FilamentSpec, synth_filament
 
-from conftest import TABLE1, asym_scene, growth_series, polar_pipeline
+from conftest import (TABLE1, assert_same_as_doubled_grid, asym_scene,
+                      growth_series, polar_pipeline)
 
 ANGLES = (0.0, 15.5, 30.0, 123.5, 270.0)
 
@@ -109,6 +110,7 @@ def test_criterion_4_pruned_search_exactness():
         assert pruned.shift == exact.shift
         assert abs(pruned.peak_ncc - exact.peak_ncc) <= 1e-12
         assert pruned.op_counts.evaluated <= pruned.op_counts.exhaustive
+        assert_same_as_doubled_grid(pruned, ref, cand)
         strictly_smaller += (pruned.op_counts.evaluated
                              < pruned.op_counts.exhaustive)
     assert strictly_smaller >= 0.9 * len(cases)

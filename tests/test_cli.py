@@ -197,16 +197,32 @@ class TestPolarCommand:
 
 
     @pytest.mark.parametrize("command, grid", [
-        ("polar", ["--angular", "0"]), ("align", ["--radial", "0"])])
+        ("polar", ["--angular", "0"]), ("align", ["--radial", "0"]),
+        ("matrix", ["--angular", "-3"]), ("matrix", ["--radial", "0"]),
+        ("polar", ["--radial", "-1"]), ("align", ["--angular", "0"])])
     def test_empty_grid_is_data_error(self, tmp_path, capsys, command, grid):
-        src = tmp_path / "in.pgm"
+        # the option is at fault, not a file: it is checked before any file
+        # is read, and the one line names the option and no path
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        src = frames / "f0.pgm"
         make_scene_pgm(src, size=32)
+        make_scene_pgm(frames / "f1.pgm", angle=30.0, size=32)
         argv = {"polar": ["polar", "--input", str(src),
                           "--out", str(tmp_path / "p.csv")],
-                "align": ["align", "--ref", str(src), "--cand", str(src)]}
+                "align": ["align", "--ref", str(src),
+                          "--cand", str(frames / "f1.pgm")],
+                "matrix": ["matrix", "--inputs", str(frames),
+                           "--aligned-dir", str(tmp_path / "aligned"),
+                           "--matrix-out", str(tmp_path / "m.csv"),
+                           "--prob-out", str(tmp_path / "p.csv")]}
         assert main(argv[command] + grid) == 2
-        assert_one_line_error(capsys, "must be >= 1")
-        assert [p.name for p in tmp_path.iterdir()] == ["in.pgm"]
+        option, value = grid
+        assert_one_line_error(capsys,
+                              f"error: {option} must be >= 1, got {value}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["frames"]
+        assert sorted(p.name for p in frames.iterdir()) == ["f0.pgm",
+                                                             "f1.pgm"]
 
 
 class TestAlignCommand:

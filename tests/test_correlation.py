@@ -10,7 +10,8 @@ from microreg.correlation import (_centered, _clamp, _masked_ncc,
                                   _overlap_sums)
 from microreg.polar import PolarImage
 
-from conftest import asym_scene, dyadic, exact_affine, polar_pipeline
+from conftest import (asym_scene, assert_same_as_doubled_grid, dyadic,
+                      exact_affine, polar_pipeline)
 
 ANGLES = (0.0, 15.5, 30.0, 123.5, 270.0)
 
@@ -474,3 +475,16 @@ class TestEstimateRotationPruned:
         assert pruned.peak_ncc == pruned.curve.max()
         # entries of dropped shifts are upper bounds of their exact scores
         assert (pruned.curve >= exact.curve - 1e-12).all()
+        assert_same_as_doubled_grid(pruned, ref, cand)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_same_bits_as_the_doubled_grid_where_rows_wrap(self, s):
+        # every leader's tail and every live row wraps past row S - 1
+        rng = np.random.default_rng(s)
+        for r in (1, 2, 5) if s > 1 else (2, 5):  # one sample has no variance
+            for _ in range(10):
+                ref = full_grid(rng, s, r)
+                for cand in (ref, full_grid(rng, s, r),
+                             cyclic_shift(ref, s - 1)):
+                    assert_same_as_doubled_grid(
+                        estimate_rotation_pruned(ref, cand), ref, cand)

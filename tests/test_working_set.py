@@ -8,9 +8,11 @@ version; the bounds below were measured on Python 3.11.7 with numpy 2.4.6.
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from microreg import FilamentSpec, prepare_reference, save_pgm, synth_filament
-from microreg.cli import main
+from microreg import (FilamentSpec, estimate_rotation_pruned, load_pgm,
+                      prepare_reference, save_pgm, synth_filament)
+from microreg.cli import main, prepare_polar
 from microreg.polar import PolarImage, _polar_plan
 from microreg.sequencer import load_square_csv, matrix_to_csv
 
@@ -43,15 +45,29 @@ def align_argv(tmp_path):
             "--angular", "720", "--radial", "200"]
 
 
-def test_warm_align_request_holds_under_10_mib(tmp_path):
+@pytest.mark.parametrize("search", [[], ["--pruned"]],
+                         ids=["exhaustive", "pruned"])
+def test_warm_align_request_holds_under_8_5_mib(tmp_path, search):
     # a warm process, as a served request finds it, samples both frames
     # with the 720x200 plan to_polar already keeps (5.9 MB, not counted
-    # here): 7.68 MiB on Python 3.11.7 / numpy 2.4.6. A request that builds
-    # the plan again counts it too: 10.41 MiB while each request built and
-    # freed its own.
-    argv = align_argv(tmp_path)
+    # here): 7.68 MiB on Python 3.11.7 / numpy 2.4.6, with either search. A
+    # request that builds the plan again counts it too: 10.41 MiB while each
+    # request built and freed its own. A pruned search that read a doubled
+    # copy of the candidate's unit grid took 9.65 MiB.
+    argv = align_argv(tmp_path) + search
     assert main(argv) == 0
-    assert traced_peak(main, argv) < 10 * MIB
+    assert traced_peak(main, argv) < 8.5 * MIB
+
+
+def test_pruned_search_holds_under_4_mib(tmp_path):
+    # the two unit grids of a 720x200 pair, a row-energy temporary and the
+    # leader's tail: 3.35 MiB on Python 3.11.7 / numpy 2.4.6. A doubled copy
+    # of the candidate's unit grid, squared for its row energies, took
+    # 5.51 MiB.
+    argv = align_argv(tmp_path)
+    ref, cand = (prepare_polar(load_pgm(path), 720, 200)
+                 for path in (argv[2], argv[4]))
+    assert traced_peak(estimate_rotation_pruned, ref, cand) < 4 * MIB
 
 
 def test_cold_align_request_holds_under_16_mib(tmp_path):
