@@ -60,6 +60,27 @@ def _about(path):
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _manifest_path(last_output) -> str:
+    return f"{last_output}.manifest.json"
+
+
+def _refuse_collisions(writes, reads) -> None:
+    """Refuse a run that would write one path twice or write over a path it
+    reads, before anything is written. writes and reads are (option, path)
+    pairs, writes in the order they are written; the manifest, named after
+    the last of them, is one more write. Each path is resolved once."""
+    last, path = writes[-1]
+    writes = [*writes, (f"the manifest of {last}", _manifest_path(path))]
+    written = {}
+    for k, (option, path) in enumerate(writes + reads):
+        key = Path(path).resolve()
+        if key in written:
+            raise ValueError(f"{written[key]} and {option} name the same "
+                             f"path {path}: the run would write over it")
+        if k < len(writes):
+            written[key] = option
+
+
 def _check_grid(args) -> None:
     """Refuse a polar grid of S or R below 1 by its option, before any file
     is read."""
@@ -113,22 +134,23 @@ def _frame_paths(directory) -> list[Path]:
     return sorted(Path(directory).glob("*.pgm"))
 
 
+# synth's options in manifest order, each with the FilamentSpec field it sets
+_SYNTH_FIELDS = {"size": "size", "angle": "orientation_deg",
+                 "half_length": "half_length", "width_sigma": "width_sigma",
+                 "amplitude": "amplitude", "background": "background",
+                 "noise": "noise_sigma", "seed": "seed"}
+
+
 def cmd_synth(args):
-    spec = FilamentSpec(size=args.size, orientation_deg=args.angle,
-                        half_length=args.half_length,
-                        width_sigma=args.width_sigma, amplitude=args.amplitude,
-                        background=args.background, noise_sigma=args.noise,
-                        seed=args.seed)
+    params = {option: getattr(args, option) for option in _SYNTH_FIELDS}
+    spec = FilamentSpec(**{_SYNTH_FIELDS[o]: v for o, v in params.items()})
     save_pgm(synth_filament(spec), args.out)
-    params = {"size": args.size, "angle": args.angle,
-              "half_length": args.half_length, "width_sigma": args.width_sigma,
-              "amplitude": args.amplitude, "background": args.background,
-              "noise": args.noise, "seed": args.seed, "out": str(args.out)}
-    return params, [args.out]
+    return {**params, "out": str(args.out)}, [args.out]
 
 
 def cmd_polar(args):
     _check_grid(args)
+    _refuse_collisions([("--out", args.out)], [("--input", args.input)])
     img = load_pgm(args.input)
     if args.center is not None:
         cx, cy = args.center
@@ -151,6 +173,9 @@ def cmd_align(args):
         cand_path.stem + "_curve.csv")
     out_report = Path(args.report) if args.report else cand_path.with_name(
         cand_path.stem + "_report.json")
+    _refuse_collisions(
+        [("--out", out_image), ("--curve", out_curve), ("--report", out_report)],
+        [("--ref", args.ref), ("--cand", cand_path)])
 
     ref = load_reference(args.ref, args.angular, args.radial)
     with _about(args.cand):
@@ -178,10 +203,10 @@ def cmd_matrix(args):
     _check_grid(args)
     in_dir = Path(args.inputs)
     aligned_dir = Path(args.aligned_dir)
-    if aligned_dir.resolve() == in_dir.resolve():
-        raise ValueError(f"--aligned-dir {aligned_dir} is the --inputs "
-                         f"directory: the aligned frames would replace the "
-                         f"inputs")
+    _refuse_collisions(
+        [("--aligned-dir", aligned_dir), ("--matrix-out", args.matrix_out),
+         ("--prob-out", args.prob_out)],
+        [("--inputs", in_dir)] + ([("--ref", args.ref)] if args.ref else []))
     paths = _frame_paths(in_dir)
     if len(paths) < 2:
         raise ValueError(f"need at least 2 PGM files in {in_dir}")
@@ -217,6 +242,8 @@ def cmd_matrix(args):
 
 
 def cmd_sequence(args):
+    _refuse_collisions([("--plan", args.plan), ("--frames", args.frames)],
+                       [("--matrix", args.matrix)])
     table = load_probability_csv(args.matrix)
     plan = greedy_sequence(table, args.start, args.length)
     if args.images:  # checked before any file is written
@@ -256,6 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Rotation registration and frame sequencing "
                                  "for grayscale micrograph-style images")
     sub = parser.add_subparsers(dest="command", required=True)
+    grid = argparse.ArgumentParser(add_help=False)  # polar, align and matrix
+    grid.add_argument("--angular", type=int, default=720)
+    grid.add_argument("--radial", type=int, default=200)
 
     p = sub.add_parser("synth", help="write a synthetic filament PGM")
     p.add_argument("--size", type=int, default=256)
@@ -269,24 +299,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("polar", help="write the polar grid of a PGM as CSV")
+    p = sub.add_parser("polar", parents=[grid],
+                       help="write the polar grid of a PGM as CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--angular", type=int, default=720)
-    p.add_argument("--radial", type=int, default=200)
     p.add_argument("--center", type=float, nargs=2, metavar=("CX", "CY"))
     p.add_argument("--max-radius", type=float)
     p.set_defaults(func=cmd_polar)
 
-    p = sub.add_parser("align", help="estimate and apply the rotation "
-                                     "aligning a candidate to a reference")
+    p = sub.add_parser("align", parents=[grid], help="estimate and apply the "
+                       "rotation aligning a candidate to a reference")
     p.add_argument("--ref", required=True)
     p.add_argument("--cand", required=True)
     p.add_argument("--out", help="rotated candidate PGM")
     p.add_argument("--curve", help="NCC curve CSV")
     p.add_argument("--report", help="JSON report")
-    p.add_argument("--angular", type=int, default=720)
-    p.add_argument("--radial", type=int, default=200)
     p.add_argument("--pruned", action="store_true",
                    help="bounded search by successive elimination: "
                         "reproduces the paper's op-count claim (criterion 4); "
@@ -294,13 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "scenes, slower on noisy ones")
     p.set_defaults(func=cmd_align)
 
-    p = sub.add_parser("matrix", help="align a directory of PGMs and build "
-                                      "the correlation/probability tables")
+    p = sub.add_parser("matrix", parents=[grid], help="align a directory of "
+                       "PGMs and build the correlation/probability tables")
     p.add_argument("--inputs", required=True, help="directory of PGM files")
     p.add_argument("--ref", help="reference PGM (default: first sorted input)")
     p.add_argument("--crop", type=int, default=64)
-    p.add_argument("--angular", type=int, default=720)
-    p.add_argument("--radial", type=int, default=200)
     p.add_argument("--aligned-dir", default="aligned")
     p.add_argument("--matrix-out", default="matrix.csv")
     p.add_argument("--prob-out", default="probability.csv")
@@ -327,7 +352,7 @@ def main(argv=None) -> int:
         return 1
     try:
         params, outputs = args.func(args)
-        _write_manifest(str(outputs[-1]) + ".manifest.json", args.command,
+        _write_manifest(_manifest_path(outputs[-1]), args.command,
                         params, outputs)
     except (OSError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -229,15 +229,6 @@ def _offsets(shape):
     return tuple(dx + dy * row for dx, dy in _TAPS)
 
 
-def _validity(mask, plan):
-    # valid where every tap with nonzero weight is masked-in
-    ok = _padded(mask)
-    valid = np.ones(plan.base.shape, dtype=bool)
-    for offset, wt in zip(_offsets(plan.shape), plan.weights):
-        valid &= ok[offset:][plan.base] | (wt == 0)
-    return valid
-
-
 def sampling_plan(shape, xs: np.ndarray, ys: np.ndarray) -> SamplingPlan:
     """Plan bilinear samples at float64 coordinates on an image of this shape.
 
@@ -300,7 +291,8 @@ def sampling_plan(shape, xs: np.ndarray, ys: np.ndarray) -> SamplingPlan:
 def apply_plan(plan: SamplingPlan, pixels: np.ndarray, mask: np.ndarray):
     """Sample pixels at the plan's coordinates: (values, valid) as in
     bilinear_sample. An all-True mask takes a copy of the plan's validity;
-    any other mask has its own computed."""
+    any other mask is padded as the pixels are, and the block loop that
+    gathers a tap's values also ANDs that tap's mask into the validity."""
     if pixels.shape != plan.shape:
         raise ValueError(f"image shape {pixels.shape} does not match the "
                          f"sampling plan's {plan.shape}")
@@ -309,6 +301,8 @@ def apply_plan(plan: SamplingPlan, pixels: np.ndarray, mask: np.ndarray):
     weights = plan.weights.reshape(4, -1)
     n = base.size
     values = np.zeros(n)  # the sum starts at +0.0
+    ok = None if mask.all() else _padded(mask)
+    valid = plan.valid.copy() if ok is None else np.ones(n, dtype=bool)
     scratch = np.empty(min(n, _BLOCK))
     offsets = _offsets(plan.shape)
     for lo in range(0, n, _BLOCK):
@@ -320,10 +314,9 @@ def apply_plan(plan: SamplingPlan, pixels: np.ndarray, mask: np.ndarray):
             flat[offset:].take(index, out=tap, mode="clip")
             tap *= wt
             total += tap
-    values = values.reshape(plan.base.shape)
-    if mask.all():
-        return values, plan.valid.copy()
-    return values, _validity(mask, plan)
+            if ok is not None:  # every tap with nonzero weight masked-in
+                valid[lo:hi] &= ok[offset:][index] | (wt == 0)
+    return values.reshape(plan.base.shape), valid.reshape(plan.base.shape)
 
 
 def bilinear_sample(pixels: np.ndarray, mask: np.ndarray,
@@ -342,8 +335,8 @@ def bilinear_sample(pixels: np.ndarray, mask: np.ndarray,
     then apply_plan. The plan holds each sample's base index, its four tap
     weights and the validity an all-True mask gives, found from the taps'
     bounds; apply_plan gathers and weights the taps, and checks a mask that
-    is not all True tap by tap. Callers that sample many images of one
-    shape at the same coordinates keep the plan.
+    is not all True tap by tap in the same pass. Callers that sample many
+    images of one shape at the same coordinates keep the plan.
     """
     return apply_plan(sampling_plan(pixels.shape, xs, ys), pixels, mask)
 

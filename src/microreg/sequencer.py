@@ -138,8 +138,8 @@ def correlation_matrix(images, crop_size: int) -> CorrelationMatrix:
     i, j = np.triu_indices(m, 1)
     if valid.all():
         del valid
-        for k in range(m):  # in place, with the bits _centered gives
-            pixels[k] -= pixels[k].mean()
+        # in place, with the bits _centered gives each row
+        pixels -= pixels.mean(axis=1, keepdims=True)
         g = pixels @ pixels.T
         n = np.full(i.size, float(pixels.shape[1]))
         del pixels

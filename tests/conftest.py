@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from microreg import FilamentSpec, Image, synth_filament
-# the CLI's align preprocessing, under the name the tests use
-from microreg.cli import prepare_polar as polar_pipeline  # noqa: F401
 from microreg.correlation import OpCounts, _clamp, _unit_grid
 
 # the worked transition-probability table used across sequencing tests

@@ -15,7 +15,7 @@ from microreg import (correlation_matrix, chain_probability, cyclic_shift,
                       estimate_rotation, estimate_rotation_pruned,
                       greedy_sequence, ncc, normalize, rotate,
                       rotation_score_curve, to_polar, to_probability)
-from microreg.cli import align_frame, load_reference, main
+from microreg.cli import align_frame, load_reference, main, prepare_polar
 from microreg.image import circular_crop, load_pgm, save_pgm
 from microreg.polar import PolarImage
 from microreg.sequencer import (load_probability_csv, load_square_csv,
@@ -23,7 +23,7 @@ from microreg.sequencer import (load_probability_csv, load_square_csv,
 from microreg.synthgen import FilamentSpec, synth_filament
 
 from conftest import (TABLE1, assert_same_as_doubled_grid, asym_scene,
-                      growth_series, polar_pipeline)
+                      growth_series)
 
 ANGLES = (0.0, 15.5, 30.0, 123.5, 270.0)
 
@@ -77,8 +77,8 @@ def test_criterion_3_rotation_recovery_paper_grid():
             cand = rotate(asym_scene(noise_sigma=noise, seed=1001 + 2 * i),
                           angle)
             start = time.perf_counter()
-            est = estimate_rotation(polar_pipeline(ref, 720, 200),
-                                    polar_pipeline(cand, 720, 200))
+            est = estimate_rotation(prepare_polar(ref, 720, 200),
+                                    prepare_polar(cand, 720, 200))
             slowest = max(slowest, time.perf_counter() - start)
             err = angular_error(est.angle_deg, angle)
             worst[noise] = max(worst[noise], err)
@@ -101,8 +101,8 @@ def test_criterion_4_pruned_search_exactness():
     for i in range(5):
         ref = asym_scene(seed=500 + i)
         cand = rotate(asym_scene(seed=600 + i), ANGLES[i])
-        cases.append((polar_pipeline(ref, 720, 200),
-                      polar_pipeline(cand, 720, 200)))
+        cases.append((prepare_polar(ref, 720, 200),
+                      prepare_polar(cand, 720, 200)))
     strictly_smaller = 0
     for ref, cand in cases:
         exact = estimate_rotation(ref, cand)

@@ -698,6 +698,44 @@ class TestUnallocatableRequests:
         assert [p.name for p in tmp_path.iterdir()] == ["in.pgm"]
 
 
+GRID = ["--angular", "90", "--radial", "16"]
+
+
+class TestCollidingPaths:
+    @pytest.mark.parametrize("argv, options", [
+        (["matrix", "--inputs", "frames", "--crop", "32", *GRID,
+          "--matrix-out", "t.csv", "--prob-out", "t.csv"],
+         ("--matrix-out", "--prob-out")),
+        (["align", "--ref", "frames/f0.pgm", "--cand", "frames/f1.pgm", *GRID,
+          "--curve", "frames/f0.pgm"], ("--curve", "--ref")),
+        (["sequence", "--matrix", "p.csv", "--start", "0", "--length", "3",
+          "--plan", "x.txt", "--frames", "x.txt"], ("--plan", "--frames")),
+        (["sequence", "--matrix", "x.txt.manifest.json", "--start", "0",
+          "--length", "3", "--frames", "x.txt"],
+         ("the manifest of --frames", "--matrix")),
+        (["polar", "--input", "frames/f1.pgm", *GRID,
+          "--out", "frames/../frames/f1.pgm"], ("--out", "--input")),
+    ], ids=["twice", "over-ref", "plan-is-frames", "manifest", "over-input"])
+    def test_is_refused_before_anything_is_written(
+            self, tmp_path, monkeypatch, capsys, argv, options):
+        # one path written twice, or written over a path the run reads
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "frames").mkdir()
+        for i, angle in enumerate((0.0, 25.0)):
+            make_scene_pgm(tmp_path / "frames" / f"f{i}.pgm", angle, size=64)
+        for name in ("p.csv", "x.txt.manifest.json"):
+            matrix_to_csv(TABLE1, tmp_path / name)
+
+        def tree():
+            return {p: p.is_file() and p.read_bytes()
+                    for p in tmp_path.rglob("*")}
+
+        given = tree()
+        assert main(argv) == 2
+        assert_one_line_error(capsys, *options)
+        assert tree() == given
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 from microreg import (DegenerateOverlapError, cyclic_shift, estimate_rotation,
                       estimate_rotation_pruned, ncc, prepare_reference,
                       rotate, rotation_score_curve)
+from microreg.cli import prepare_polar
 from microreg.correlation import (_centered, _clamp, _masked_ncc,
                                   _overlap_sums)
 from microreg.polar import PolarImage
 
 from conftest import (asym_scene, assert_same_as_doubled_grid, dyadic,
-                      exact_affine, polar_pipeline)
+                      exact_affine)
 
 ANGLES = (0.0, 15.5, 30.0, 123.5, 270.0)
 
@@ -206,9 +207,9 @@ class TestScoreCurveOracle:
     @pytest.mark.parametrize("i", range(len(ANGLES)))
     def test_matches_brute_force_on_paper_grid_scenes(self, i):
         # the 720x200 scene pairs of criterion 4
-        ref = polar_pipeline(asym_scene(seed=500 + i), 720, 200)
-        cand = polar_pipeline(rotate(asym_scene(seed=600 + i), ANGLES[i]),
-                              720, 200)
+        ref = prepare_polar(asym_scene(seed=500 + i), 720, 200)
+        cand = prepare_polar(rotate(asym_scene(seed=600 + i), ANGLES[i]),
+                             720, 200)
         scores = rotation_score_curve(ref, cand)
         expected = brute_force_curve(ref, cand)
         assert np.abs(scores - expected).max() <= 1e-12
@@ -293,10 +294,10 @@ class TestOneSpectrumCurve:
 
     @pytest.mark.parametrize("i", range(len(ANGLES)))
     def test_matches_six_spectrum_curve_on_paper_grid_scenes(self, i):
-        ref = polar_pipeline(asym_scene(noise_sigma=0.3, seed=500 + i),
-                             720, 200)
-        cand = polar_pipeline(rotate(asym_scene(noise_sigma=0.3, seed=600 + i),
-                                     ANGLES[i]), 720, 200)
+        ref = prepare_polar(asym_scene(noise_sigma=0.3, seed=500 + i),
+                            720, 200)
+        cand = prepare_polar(rotate(asym_scene(noise_sigma=0.3, seed=600 + i),
+                                    ANGLES[i]), 720, 200)
         constant_sums = constant_sums_scores(ref, cand)
         for reference in (ref, prepare_reference(ref)):
             scores = rotation_score_curve(reference, cand)
@@ -392,17 +393,17 @@ class TestEstimateRotation:
         assert est.angle_deg == pytest.approx(150.0)
 
     def test_recovers_scene_rotation(self):
-        ref = polar_pipeline(asym_scene(), angular=720, radial=100)
-        cand = polar_pipeline(rotate(asym_scene(), 30.0), angular=720, radial=100)
+        ref = prepare_polar(asym_scene(), angular=720, radial=100)
+        cand = prepare_polar(rotate(asym_scene(), 30.0), angular=720, radial=100)
         est = estimate_rotation(ref, cand)
         assert abs(est.angle_deg - 30.0) <= 1.0
         assert est.peak_ncc >= 0.9
 
     def test_recovers_scene_rotation_noisy(self):
-        ref = polar_pipeline(asym_scene(noise_sigma=0.1, seed=11),
+        ref = prepare_polar(asym_scene(noise_sigma=0.1, seed=11),
+                            angular=720, radial=100)
+        cand = prepare_polar(rotate(asym_scene(noise_sigma=0.1, seed=12), 30.0),
                              angular=720, radial=100)
-        cand = polar_pipeline(rotate(asym_scene(noise_sigma=0.1, seed=12), 30.0),
-                              angular=720, radial=100)
         est = estimate_rotation(ref, cand)
         assert abs(est.angle_deg - 30.0) <= 1.5
 

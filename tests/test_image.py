@@ -9,8 +9,7 @@ from microreg import (DegenerateImageError, Image, PgmFormatError, center_crop,
                       circular_crop, load_pgm, normalize, rotate,
                       rotation_matrix, save_pgm)
 from microreg import image
-from microreg.image import (_validity, apply_plan, bilinear_sample,
-                            sampling_plan)
+from microreg.image import apply_plan, bilinear_sample, sampling_plan
 
 
 def write_pgm_bytes(path, header, payload):
@@ -554,8 +553,16 @@ class TestBilinearSample:
     def test_plan_validity_from_bounds_matches_gathered_mask(self, case):
         pixels, _, xs, ys = case
         plan = sampling_plan(pixels.shape, xs, ys)
-        full = np.ones(pixels.shape, dtype=bool)
-        assert np.array_equal(plan.valid, _validity(full, plan))
+        # the gather rule: valid where every tap with nonzero weight reads a
+        # pixel of the image, not of the zero border bilinear_sample pads
+        h, w = pixels.shape
+        inside = np.zeros((h + 3, w + 3), dtype=bool)
+        inside[1:h + 1, 1:w + 1] = True
+        gathered = np.ones(plan.base.shape, dtype=bool)
+        for (dx, dy), wt in zip(((0, 0), (1, 0), (0, 1), (1, 1)), plan.weights):
+            tap = plan.base + dx + dy * (w + 3)
+            gathered &= inside.flat[tap] | (wt == 0)
+        assert np.array_equal(plan.valid, gathered)
 
     @settings(max_examples=300, deadline=None)
     @given(case=sampling_cases())

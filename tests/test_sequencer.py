@@ -74,10 +74,20 @@ class TestCorrelationMatrix:
         assert rows.pixels is None and len(rows) == len(frames)
 
     def test_rows_centered_in_place_have_the_bits_of_centered(self):
-        crop = center_crop(asym_scene(size=64), 40)
-        row = crop.pixels.ravel().copy()
-        row -= row.mean()
-        assert np.array_equal(row, _centered(crop.pixels, crop.mask).ravel())
+        # a fully valid stack is centered by one whole-stack expression; the
+        # shapes are sequence-many's and matrix-stack's stacks of 40^2 and
+        # 64^2 crops: row 0 is a scene crop and row 1 has a mean of 1e8
+        rng = np.random.default_rng(7)
+        for side, m in ((40, 300), (64, 32)):
+            stack = rng.normal(rng.uniform(-50.0, 50.0, (m, 1)), 3.0,
+                               (m, side * side))
+            stack[0] = center_crop(asym_scene(size=64), side).pixels.ravel()
+            stack[1] += 1e8
+            rows = stack.copy()
+            rows -= rows.mean(axis=1, keepdims=True)
+            valid = np.ones(side * side, dtype=bool)
+            expected = np.array([_centered(row, valid) for row in stack])
+            assert rows.tobytes() == expected.tobytes(), side
 
     def test_needs_two_images(self):
         with pytest.raises(ValueError, match="at least 2"):
